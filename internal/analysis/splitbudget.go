@@ -39,8 +39,8 @@ import (
 // the facade — is visible at the outermost call site. The Split test is
 // lenient on purpose: an identifier qualifies if any assignment in the
 // enclosing function draws it from Split, so a documented escape hatch
-// that re-assigns the budget (the fleet Uncapped knob) stays clean
-// without a suppression.
+// that re-assigns the budget (an "uncapped" benchmark knob, as in the
+// UncappedKnob fixture) stays clean without a suppression.
 var Splitbudget = &Analyzer{
 	Name: "splitbudget",
 	Doc:  "nested parallel regions must thread a Split worker budget",
@@ -161,8 +161,8 @@ type blessing struct {
 // when it is derived (by assignment, call result, or composite literal)
 // from an already-blessed object — the chain that keeps
 // "base.Workers = 1; spec := pop.Spec(i, base); cam, _ := camera.New(spec.Camera)"
-// recognizably serial three hops later. First blessing wins, so the
-// Uncapped-style re-assignment stays clean.
+// recognizably serial three hops later. First blessing wins, so an
+// escape-hatch re-assignment (the UncappedKnob fixture) stays clean.
 type spawnFuncContext struct {
 	info    *types.Info
 	params  map[types.Object]int

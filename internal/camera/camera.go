@@ -56,12 +56,14 @@ type Config struct {
 	// of the window outside the display see black (overscan: the camera
 	// films the monitor plus the dark room behind it).
 	CropX0, CropY0, CropW, CropH int
-	// Workers bounds the capture worker pool: rolling-shutter row synthesis
-	// within one capture and whole captures within CaptureSequence fan out
-	// across this many goroutines. 0 means GOMAXPROCS; 1 forces the
-	// sequential path. Captures are bit-identical at any worker count: rows
-	// write disjoint spans and the noise RNG is seeded from the capture
-	// index, never from worker identity.
+	// Workers bounds the row-synthesis fan-out of Capture: the
+	// rolling-shutter rows of one capture spread across this many
+	// goroutines. 0 means GOMAXPROCS; 1 forces the sequential path. The
+	// channel's capture schedule ignores it and threads its own per-capture
+	// share of one worker budget through CaptureWith instead. Captures are
+	// bit-identical at any worker count: rows write disjoint spans and the
+	// noise RNG is seeded from the capture index, never from worker
+	// identity.
 	Workers int
 	// Pool supplies the capture working buffers (display-resolution
 	// integration plane, blur scratch, crop window) and the returned
@@ -162,14 +164,14 @@ func (c *Camera) FramePeriod() float64 { return 1 / c.cfg.FPS }
 // drawn from the camera's pool; the caller owns it and may Put it back to
 // that pool when done with it.
 func (c *Camera) Capture(d *display.Display, t0 float64, index int) *frame.Frame {
-	return c.captureWith(d, t0, index, c.cfg.Workers)
+	return c.CaptureWith(d, t0, index, c.cfg.Workers)
 }
 
-// captureWith is Capture with an explicit worker budget for the row
-// sweep, so callers that are themselves inside a parallel region
-// (CaptureSequence) can thread a Split share instead of handing every
-// capture the full worker count.
-func (c *Camera) captureWith(d *display.Display, t0 float64, index, rowWorkers int) *frame.Frame {
+// CaptureWith is Capture with an explicit worker budget for the row
+// sweep, so a caller that runs several captures concurrently (the
+// channel's capture schedule) can hand each one its parallel.Split share
+// instead of the full worker count.
+func (c *Camera) CaptureWith(d *display.Display, t0 float64, index, rowWorkers int) *frame.Frame {
 	dw, dh := d.Size()
 	if dw == 0 || dh == 0 {
 		panic("camera: display has no frames")
@@ -237,29 +239,4 @@ func (c *Camera) addNoise(f *frame.Frame, index int) {
 	for i := range f.Pix {
 		f.Pix[i] += float32(rng.NormFloat64() * sigma)
 	}
-}
-
-// CaptureSequence captures n frames starting at time start, spaced by the
-// camera frame period, and returns them with their exposure start times.
-// Captures are independent (the display is read-only and each capture's
-// noise stream is keyed by its index), so they fan out across the
-// configured workers with results merged by position — bit-identical to a
-// sequential run.
-func (c *Camera) CaptureSequence(d *display.Display, start float64, n int) ([]*frame.Frame, []float64) {
-	frames := make([]*frame.Frame, n)
-	times := make([]float64, n)
-	period := c.FramePeriod()
-	// Split the budget between the capture fan-out and each capture's row
-	// sweep: n captures × full-worker sweeps oversubscribes the pool W-fold.
-	outer := parallel.Resolve(c.cfg.Workers)
-	if outer > n {
-		outer = n
-	}
-	inner := parallel.Split(c.cfg.Workers, outer)
-	parallel.For(c.cfg.Workers, n, func(i int) {
-		t := start + float64(i)*period
-		frames[i] = c.captureWith(d, t, i, inner)
-		times[i] = t
-	})
-	return frames, times
 }

@@ -41,12 +41,14 @@ type Config struct {
 	//     beyond the displayed duration leave no room for a capture and
 	//     Simulate reports the "too short" error.
 	CameraStart float64
-	// Workers bounds Simulate's pipeline pool: display frame k+1 renders
+	// Workers is the capture schedule's budget: display frame k+1 renders
 	// while captures whose exposure windows are already covered run behind
-	// it. 0 means GOMAXPROCS; 1 forces the sequential render-then-capture
-	// path. Results are bit-identical at any worker count — a capture is
-	// dispatched only once every display frame its exposure window touches
-	// has been pushed, and captures merge by index.
+	// it on up to this many goroutines, each capture's row sweep taking a
+	// parallel.Split share (camera.Config.Workers is not consulted). 0
+	// means GOMAXPROCS; 1 runs every capture inline right after the push
+	// that covers it. Results are bit-identical at any worker count — a
+	// capture is dispatched only once every display frame its exposure
+	// window touches has been pushed, and captures merge by index.
 	Workers int
 	// Pool supplies the frame buffers of the capture side (see
 	// camera.Config.Pool); it is copied into the camera configuration when
@@ -58,9 +60,8 @@ type Config struct {
 	// Impair optionally corrupts the link with a seeded, deterministic
 	// fault stack — clock drift, exposure jitter, capture drop and
 	// duplication, lighting and sensor faults (see internal/impair). Nil
-	// or an all-zero config leaves the clean path untouched: Simulate
-	// routes through exactly the same code as a config without the field,
-	// so clean results stay bit-identical.
+	// or an all-zero config is the zero impairment of the one capture
+	// schedule, which leaves every clean capture and time bit-identical.
 	Impair *impair.Config
 }
 
@@ -119,17 +120,108 @@ func (l *Link) Transmit(frames []*frame.Frame) error {
 }
 
 // CaptureAll captures as many camera frames as fit inside the displayed
-// duration, starting at CameraStart, returning frames and exposure start
-// times.
+// duration, starting at CameraStart and through the link's impairments,
+// returning frames and exposure start times (nil when none fit).
 func (l *Link) CaptureAll() ([]*frame.Frame, []float64) {
-	dur := l.Display.Duration()
-	period := l.Camera.FramePeriod()
-	exposureSpan := l.cfg.Camera.Exposure + l.cfg.Camera.ReadoutTime
-	n := int((dur - l.cfg.CameraStart - exposureSpan) / period)
+	return Capture(l.Display, l.Camera, l.cfg.CameraStart, l.cfg.Impair, l.cfg.Workers)
+}
+
+// Capture runs the link's capture schedule over a display whose frames have
+// all been pushed: every capture that fits inside the displayed duration,
+// from start, through the impairment stack imp (nil or all-zero is the
+// clean link), on a budget of workers goroutines. It is what Simulate
+// computes minus the rendering, so a caller that renders once and captures
+// many times (the fleet) gets captures bit-identical to a standalone
+// Simulate with the same camera, start and impairments.
+func Capture(d *display.Display, cam *camera.Camera, start float64, imp *impair.Config, workers int) ([]*frame.Frame, []float64) {
+	return newSchedule(d, cam, start, imp, workers, d.Duration()).finish()
+}
+
+// schedule is the one capture schedule of the link: a free-running camera
+// sampling the display every (drift-skewed) frame period from a start
+// offset. The clean link is the zero impairment: a zero impair.Stack keeps
+// the nominal period (base·1), adds no jitter, leaves every frame untouched
+// and passes the sequence through, so clean results are bit-identical to a
+// link with no impairment model at all.
+//
+// Captures are dispatched in index order, each once every display frame its
+// exposure + readout window touches is on the monitor, onto a pool of the
+// schedule's workers; at one worker the pool runs inline, interleaving
+// captures with the pushes. Every capture's noise and fault streams are
+// keyed by its index and results land in index-addressed slots, so the
+// sequence is bit-identical at any worker count and any push interleaving.
+type schedule struct {
+	st     *impair.Stack
+	pool   *parallel.Pool
+	frames *frame.Pool // the camera's pool: drops return to it, duplicates come from it
+	take   func(i int) // exposes capture i into caps[i]
+	caps   []*frame.Frame
+	times  []float64
+	period float64
+	span   float64 // exposure + readout: the window one capture integrates
+	frameT float64 // display frame period
+	next   int     // first capture not yet dispatched
+}
+
+// newSchedule plans every capture that fits inside dur seconds of display:
+// jitter may push an exposure later by up to StartJitter, so the count
+// budgets for it and every capture fits even at the jitter extreme.
+func newSchedule(d *display.Display, cam *camera.Camera, start float64, imp *impair.Config, workers int, dur float64) *schedule {
+	var cfg impair.Config
+	if imp != nil {
+		cfg = *imp
+	}
+	ccfg := cam.Config()
+	s := &schedule{
+		st:     impair.New(cfg),
+		pool:   parallel.NewPool(workers),
+		frames: ccfg.Pool,
+		span:   ccfg.Exposure + ccfg.ReadoutTime,
+		frameT: d.FrameDuration(),
+	}
+	s.period = s.st.Period(cam.FramePeriod())
+	n := int((dur - start - s.span - cfg.StartJitter) / s.period)
 	if n <= 0 {
+		return s
+	}
+	s.caps = make([]*frame.Frame, n)
+	s.times = make([]float64, n)
+	for i := range s.times {
+		s.times[i] = s.st.CaptureTime(i, start, s.period)
+	}
+	// Split the budget between concurrent captures and each capture's row
+	// sweep: n captures × full-budget sweeps would oversubscribe it.
+	rows := parallel.Split(workers, min(parallel.Resolve(workers), n))
+	s.take = func(i int) {
+		f := cam.CaptureWith(d, s.times[i], i, rows)
+		s.st.ApplyFrame(f, i, s.times[i], ccfg.Exposure)
+		s.caps[i] = f
+	}
+	return s
+}
+
+// advance dispatches, in index order, every pending capture whose window
+// [t, t+exposure+readout) lies within the first pushed display frames.
+func (s *schedule) advance(pushed int) {
+	for ; s.next < len(s.times); s.next++ {
+		if need := int(math.Ceil((s.times[s.next] + s.span) / s.frameT)); need > pushed {
+			return
+		}
+		i := s.next
+		s.pool.Go(func() { s.take(i) })
+	}
+}
+
+// finish dispatches the stragglers (everything is pushed now, so float
+// boundary cases are safe to run), waits for every capture and runs the
+// delivery stages (drop, duplicate) over the assembled sequence.
+func (s *schedule) finish() ([]*frame.Frame, []float64) {
+	s.advance(math.MaxInt)
+	s.pool.Wait()
+	if len(s.caps) == 0 {
 		return nil, nil
 	}
-	return l.Camera.CaptureSequence(l.Display, l.cfg.CameraStart, n)
+	return s.st.ApplySequence(s.caps, s.times, s.period, s.frames)
 }
 
 // Result bundles a one-shot simulation's outputs.
@@ -152,160 +244,32 @@ func (r *Result) Recycle(p *frame.Pool) {
 }
 
 // Simulate runs a multiplexer for nDisplayFrames through the link and
-// captures the whole sequence: the standard experiment entry point.
-//
-// With Workers resolving above 1 the stages pipeline: the renderer keeps
-// pushing display frames while capture workers integrate the frames already
-// pushed (capture i is dispatched the moment the last display frame its
-// exposure + readout window touches is on the monitor). The captured
-// sequence is bit-identical to the sequential path — see Config.Workers.
+// captures the whole sequence: the standard experiment entry point. The
+// renderer pushes display frames while the capture schedule runs every
+// capture whose window they cover behind it (see Config.Workers).
 func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, error) {
 	link, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Impair.Enabled() {
-		return simulateImpaired(m, nDisplayFrames, cfg, link)
-	}
-	if parallel.Resolve(cfg.Workers) <= 1 {
-		if err := m.PushTo(link.Display, nDisplayFrames); err != nil {
-			return nil, err
-		}
-		caps, times := link.CaptureAll()
-		if len(caps) == 0 {
-			return nil, fmt.Errorf("channel: displayed duration too short for any capture")
-		}
-		return &Result{Captures: caps, Times: times, Exposure: cfg.Camera.Exposure}, nil
-	}
-	return simulatePipelined(m, nDisplayFrames, cfg, link)
-}
-
-// simulatePipelined overlaps display rendering with camera capture. The
-// capture count and exposure times replicate CaptureAll's arithmetic
-// exactly (same expressions, same float order) so both paths agree to the
-// last bit.
-func simulatePipelined(m *core.Multiplexer, nDisplayFrames int, cfg Config, link *Link) (*Result, error) {
-	dur := float64(nDisplayFrames) / cfg.Display.RefreshHz
-	period := link.Camera.FramePeriod()
-	exposureSpan := cfg.Camera.Exposure + cfg.Camera.ReadoutTime
-	nCaps := int((dur - cfg.CameraStart - exposureSpan) / period)
-	if nCaps <= 0 {
-		// Render anyway so the error mirrors the sequential path's state.
-		if err := m.PushTo(link.Display, nDisplayFrames); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("channel: displayed duration too short for any capture")
-	}
-	caps := make([]*frame.Frame, nCaps)
-	times := make([]float64, nCaps)
-	pool := parallel.NewPool(cfg.Workers)
-	frameT := 1 / cfg.Display.RefreshHz
-	next := 0
-	dispatch := func(i int) {
-		t := cfg.CameraStart + float64(i)*period
-		times[i] = t
-		pool.Go(func() {
-			caps[i] = link.Camera.Capture(link.Display, t, i)
-		})
-	}
+	s := newSchedule(link.Display, link.Camera, cfg.CameraStart, cfg.Impair, cfg.Workers,
+		float64(nDisplayFrames)/cfg.Display.RefreshHz)
 	for k := 0; k < nDisplayFrames; k++ {
 		f := m.Frame(k)
-		if err := link.Display.Push(f); err != nil {
-			// The display rejected the frame, so nothing holds the buffer:
-			// hand it back before unwinding.
-			m.Recycle(f)
-			pool.Wait()
+		err := link.Display.Push(f)
+		// The display has copied the frame into its drive history (or
+		// rejected it): either way nothing holds the buffer any more, so
+		// the next render reuses it.
+		m.Recycle(f)
+		if err != nil {
+			s.pool.Wait()
 			return nil, fmt.Errorf("channel: frame %d: %w", k, err)
 		}
-		// The display has copied the frame into its drive history; hand
-		// the buffer back so the next render reuses it.
-		m.Recycle(f)
-		for next < nCaps {
-			t := cfg.CameraStart + float64(next)*period
-			// Capture windows integrate display rows over
-			// [t, t+exposure+readout); frames 0..ceil(end/T)-1 must be on
-			// the monitor before the capture may run.
-			if need := int(math.Ceil((t + exposureSpan) / frameT)); need > k+1 {
-				break
-			}
-			dispatch(next)
-			next++
-		}
+		s.advance(k + 1)
 	}
-	// Float-boundary stragglers: everything is pushed now, so any capture
-	// still pending is safe to run.
-	for ; next < nCaps; next++ {
-		dispatch(next)
+	if len(s.times) == 0 {
+		return nil, fmt.Errorf("channel: displayed duration too short for any capture")
 	}
-	pool.Wait()
+	caps, times := s.finish()
 	return &Result{Captures: caps, Times: times, Exposure: cfg.Camera.Exposure}, nil
-}
-
-// simulateImpaired is the fault-injected counterpart of simulatePipelined:
-// capture times follow the drift-skewed, jittered schedule, every finished
-// capture runs through the pixel-domain impairment stages, and the delivery
-// stages (drop/duplicate) rewrite the final sequence. One code path serves
-// every worker count — the worker pool degrades to inline execution at 1 —
-// and all randomness is keyed by capture index, so results are bit-identical
-// at any worker count.
-func simulateImpaired(m *core.Multiplexer, nDisplayFrames int, cfg Config, link *Link) (*Result, error) {
-	st := impair.New(*cfg.Impair)
-	dur := float64(nDisplayFrames) / cfg.Display.RefreshHz
-	period := st.Period(link.Camera.FramePeriod())
-	exposureSpan := cfg.Camera.Exposure + cfg.Camera.ReadoutTime
-	// Jitter may push an exposure later by up to StartJitter; budget for it
-	// so every scheduled capture fits inside the displayed duration even at
-	// the jitter extreme.
-	nCaps := int((dur - cfg.CameraStart - exposureSpan - cfg.Impair.StartJitter) / period)
-	if nCaps <= 0 {
-		if err := m.PushTo(link.Display, nDisplayFrames); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("channel: displayed duration too short for any capture")
-	}
-	caps := make([]*frame.Frame, nCaps)
-	times := make([]float64, nCaps)
-	for i := range times {
-		times[i] = st.CaptureTime(i, cfg.CameraStart, period)
-	}
-	pool := parallel.NewPool(cfg.Workers)
-	frameT := 1 / cfg.Display.RefreshHz
-	next := 0
-	dispatch := func(i int) {
-		t := times[i]
-		pool.Go(func() {
-			f := link.Camera.Capture(link.Display, t, i)
-			st.ApplyFrame(f, i, t, cfg.Camera.Exposure)
-			caps[i] = f
-		})
-	}
-	for k := 0; k < nDisplayFrames; k++ {
-		f := m.Frame(k)
-		if err := link.Display.Push(f); err != nil {
-			// The display rejected the frame; recycle before unwinding.
-			m.Recycle(f)
-			pool.Wait()
-			return nil, fmt.Errorf("channel: frame %d: %w", k, err)
-		}
-		m.Recycle(f)
-		for next < nCaps {
-			// Dispatch in index order using each capture's own (jittered)
-			// window; a not-yet-coverable capture blocks later ones only
-			// until the straggler sweep below.
-			if need := int(math.Ceil((times[next] + exposureSpan) / frameT)); need > k+1 {
-				break
-			}
-			dispatch(next)
-			next++
-		}
-	}
-	for ; next < nCaps; next++ {
-		dispatch(next)
-	}
-	pool.Wait()
-	// Delivery-pipeline stages run on the assembled sequence. Dropped
-	// captures go back to the pool the camera drew them from; duplicates
-	// are drawn from it.
-	outCaps, outTimes := st.ApplySequence(caps, times, period, link.cfg.Camera.Pool)
-	return &Result{Captures: outCaps, Times: outTimes, Exposure: cfg.Camera.Exposure}, nil
 }

@@ -78,6 +78,34 @@ func TestTransmitAndCaptureAll(t *testing.T) {
 	}
 }
 
+// TestCaptureAllSpacing: a clean link's captures start at CameraStart and
+// are spaced by exactly the camera frame period.
+func TestCaptureAllSpacing(t *testing.T) {
+	cfg := quietChannel(48, 32)
+	cfg.CameraStart = 0.1
+	link, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([]*frame.Frame, 60) // 0.5 s at 120 Hz
+	for i := range frames {
+		frames[i] = frame.NewFilled(48, 32, 100)
+	}
+	if err := link.Transmit(frames); err != nil {
+		t.Fatal(err)
+	}
+	caps, times := link.CaptureAll()
+	if len(caps) < 3 || len(caps) != len(times) {
+		t.Fatalf("got %d frames, %d times", len(caps), len(times))
+	}
+	period := link.Camera.FramePeriod()
+	for i, ti := range times {
+		if want := cfg.CameraStart + float64(i)*period; math.Abs(ti-want) > 0 {
+			t.Fatalf("capture %d at %v, want start + %d periods = %v", i, ti, i, want)
+		}
+	}
+}
+
 func TestCaptureAllEmptyDisplay(t *testing.T) {
 	link, err := New(quietChannel(48, 32))
 	if err != nil {

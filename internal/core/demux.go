@@ -1103,6 +1103,10 @@ func (r *Receiver) registration() Registration {
 	}
 	reg.Pose = r.cfg.Pose.M
 	l := r.cfg.Layout
+	// Measure against the frontal full-frame view, not r.calib: in
+	// projective mode r.calib is the rectified plane's identity map, and
+	// the offset would read the display→capture scale instead of the pose.
+	frontal := FullFrame(l, r.cfg.CaptureW, r.cfg.CaptureH)
 	x1 := float64(l.MarginX() + l.BlocksX*l.BlockPx())
 	y1 := float64(l.MarginY() + l.BlocksY*l.BlockPx())
 	var worst float64
@@ -1116,7 +1120,7 @@ func (r *Receiver) registration() Registration {
 		if !ok {
 			continue
 		}
-		ax, ay := r.calib.Apply(c[0], c[1])
+		ax, ay := frontal.Apply(c[0], c[1])
 		// Compare squared distances in the loop; one Sqrt at the end.
 		if d := (px-ax)*(px-ax) + (py-ay)*(py-ay); d > worst {
 			worst = d

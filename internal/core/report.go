@@ -88,7 +88,7 @@ type Registration struct {
 	Pose [9]float64
 	// MaxCornerOffsetPx is the largest displacement, in capture pixels,
 	// between the pose's mapping of the layout's grid corners and the
-	// effective axis-aligned calibration's — how far from frontal the
+	// frontal full-frame mapping's (FullFrame) — how far from frontal the
 	// registered view sits. 0 when no pose was configured.
 	MaxCornerOffsetPx float64
 }

@@ -369,3 +369,31 @@ func TestDecodeReportEmpty(t *testing.T) {
 		t.Fatalf("empty report mean/min = %v/%v", rep.MeanQuality(), rep.MinQuality())
 	}
 }
+
+// TestRegistrationCornerOffsetNearFrontal pins the pose diagnostic's
+// reference: a pose within 1e-4 of the frontal full-frame map still takes
+// the projective path, and its corner offset must measure that tiny
+// perturbation — not the display→capture scale between the rectified
+// plane's identity map and the capture.
+func TestRegistrationCornerOffsetNearFrontal(t *testing.T) {
+	p := smallParams()
+	l := p.Layout
+	capW, capH := 2*l.FrameW, 2*l.FrameH
+	pose := AxisAlignedHomography(FullFrame(l, capW, capH))
+	pose.M[1] = 1e-4 // a hair of shear: no longer axis-aligned
+	cfg := DefaultReceiverConfig(p, capW, capH)
+	cfg.Pose = &pose
+	r, err := NewReceiver(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := r.registration()
+	if !reg.Projective {
+		t.Fatal("perturbed pose took the frontal fast path; the test needs the projective one")
+	}
+	// The shear moves a corner by at most 1e-4 × the layout height (1% slack
+	// for rounding).
+	if limit := 1.01e-4 * float64(l.FrameH); reg.MaxCornerOffsetPx <= 0 || reg.MaxCornerOffsetPx > limit {
+		t.Fatalf("near-frontal corner offset %v px, want in (0, %v]", reg.MaxCornerOffsetPx, limit)
+	}
+}

@@ -196,22 +196,31 @@ func TestRobustnessMatrix(t *testing.T) {
 	}
 }
 
-// TestZeroImpairConfigIsCleanPath locks the clean-channel contract: a
-// non-nil but all-zero impairment config routes through exactly the same
-// code as a nil one, producing bit-identical captures, times and decodes.
+// TestZeroImpairConfigIsCleanPath locks the clean-channel contract: the
+// clean link is the zero impairment of the one capture schedule, so a nil
+// and a non-nil all-zero impairment config produce bit-identical captures,
+// times and decodes — at every worker count, against the one-worker clean
+// run.
 func TestZeroImpairConfigIsCleanPath(t *testing.T) {
-	resNil, decNil, repNil, _ := robustnessPipeline(t, 2, nil)
-	resZero, decZero, repZero, _ := robustnessPipeline(t, 2, &ImpairConfig{})
-	if !reflect.DeepEqual(resZero.Times, resNil.Times) {
-		t.Fatal("zero impair config changes capture times")
-	}
-	for i, c := range resZero.Captures {
-		if !c.Equal(resNil.Captures[i]) {
-			t.Fatalf("zero impair config changes capture %d", i)
+	ref, decRef, repRef, _ := robustnessPipeline(t, 1, nil)
+	for _, w := range []int{1, 2, 8} {
+		for _, tc := range []struct {
+			name string
+			imp  *ImpairConfig
+		}{{"nil", nil}, {"zero", &ImpairConfig{}}} {
+			res, dec, rep, _ := robustnessPipeline(t, w, tc.imp)
+			if !reflect.DeepEqual(res.Times, ref.Times) {
+				t.Fatalf("workers=%d %s impairment: capture times differ from the clean run", w, tc.name)
+			}
+			for i, c := range res.Captures {
+				if !c.Equal(ref.Captures[i]) {
+					t.Fatalf("workers=%d %s impairment: capture %d differs from the clean run", w, tc.name, i)
+				}
+			}
+			if !reflect.DeepEqual(dec, decRef) || !reflect.DeepEqual(rep, repRef) {
+				t.Fatalf("workers=%d %s impairment: decode differs from the clean run", w, tc.name)
+			}
 		}
-	}
-	if !reflect.DeepEqual(decZero, decNil) || !reflect.DeepEqual(repZero, repNil) {
-		t.Fatal("zero impair config changes the decode")
 	}
 }
 

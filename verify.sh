@@ -15,7 +15,9 @@
 # frontal bit-identity, a coverage floor on internal/register and fuzz
 # smokes of the DLT solve and the inverse warp),
 # the broadcast-fleet determinism suite under -race (N concurrent
-# receivers sharing one pool and one display), one iteration of the
+# receivers sharing one pool and one display), the end-to-end benchmark's
+# self-test (its traced replay must capture the library's frames bit for
+# bit), one iteration of the
 # sequential-vs-parallel benchmarks as a smoke test, and the
 # inframe-benchdiff regression gate against the committed BENCH_*.json
 # baseline (+15% ns/op tolerance, allocs/op gated alongside; a slowdown
@@ -25,8 +27,8 @@
 # Usage: ./verify.sh [-short]
 #   -short  gate the race run on `go test -short` (skips the long
 #           full-pipeline experiment suites) and skip the robustness,
-#           fleet, benchmark smoke and benchdiff stages entirely; use
-#           for quick iteration.
+#           pose, fleet, benchmark self-test, benchmark smoke and
+#           benchdiff stages entirely; use for quick iteration.
 #
 # Each stage prints its wall-clock time on completion so slow stages are
 # visible; a summary repeats all of them — including skipped stages — at
@@ -173,9 +175,18 @@ run_fleet() {
 	# small-N fleet is the repo's richest cross-goroutine surface (nested
 	# fan-out, one shared pool, one display read by every receiver), and
 	# its tests pin worker invariance, the render-once pool accounting,
-	# the concurrency-budget bit-identity and the late-start all-erasure
-	# path.
+	# a member's bit-identity to a standalone link and the late-start
+	# all-erasure path.
 	go test -race -count=1 ./internal/fleet/
+}
+
+run_perfbench_selftest() {
+	# The end-to-end benchmark's self-test, run in its own module: every
+	# workload emits its metrics, and the traced replay — which rebuilds
+	# channel.Simulate and fleet.Run call by call — must decode to the same
+	# digest as the library's own calls. That digest check is the gate
+	# that the library and the benchmark still capture the same frames.
+	(cd _perfbench && go test -short -count=1 ./...)
 }
 
 run_bench_smoke() {
@@ -199,12 +210,14 @@ if [[ -n "$short" ]]; then
 	skip "robustness matrix + fuzz smoke"
 	skip "pose robustness (race)"
 	skip "fleet determinism (race)"
+	skip "benchmark self-test (_perfbench)"
 	skip "benchmarks (1 iteration smoke)"
 	skip "inframe-benchdiff"
 else
 	stage "robustness matrix + fuzz smoke" run_robustness
 	stage "pose robustness (race)" run_pose
 	stage "fleet determinism (race)" run_fleet
+	stage "benchmark self-test (_perfbench)" run_perfbench_selftest
 	stage "benchmarks (1 iteration smoke)" run_bench_smoke
 	stage "inframe-benchdiff" run_benchdiff
 fi
