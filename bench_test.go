@@ -221,15 +221,15 @@ func benchWorkerCounts() []int {
 // benchPipeline builds the half-scale paper pipeline (960×540 display,
 // 640×360 capture) with every stage's worker pool set to w and one shared
 // frame pool threaded through every stage — the steady-state configuration
-// the allocs/op gate pins.
-func benchPipeline(b *testing.B, w int) (*core.Multiplexer, channel.Config, *core.Receiver, int, *frame.Pool) {
+// the allocs/op gate pins — on the video source src.
+func benchPipeline(b *testing.B, w int, src func(w, h int) video.Source) (*core.Multiplexer, channel.Config, *core.Receiver, int, *frame.Pool) {
 	b.Helper()
 	l := benchLayout()
 	pool := frame.NewPool()
 	p := core.DefaultParams(l)
 	p.Workers = w
 	p.Pool = pool
-	m, err := core.NewMultiplexer(p, video.Gray(l.FrameW, l.FrameH), core.NewRandomStream(l, 1))
+	m, err := core.NewMultiplexer(p, src(l.FrameW, l.FrameH), core.NewRandomStream(l, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,41 +251,46 @@ func benchPipeline(b *testing.B, w int) (*core.Multiplexer, channel.Config, *cor
 
 // BenchmarkEndToEnd measures render + channel simulation + decode at the
 // half-scale paper geometry, once sequentially (workers=1) and once with the
-// full worker pool — the ratio is the pipeline's parallel speedup. Captures
-// are recycled after each decode, so after the first iteration the loop
-// allocates no frame buffers (allocs/op tracks everything else).
+// full worker pool — the ratio is the pipeline's parallel speedup — on
+// static gray (workers=N) and on moving sun-rise video (sunrise/workers=N),
+// the benchcmp.EndToEndContents sources. Captures are recycled after each
+// decode, so after the first iteration the loop allocates no frame buffers
+// (allocs/op tracks everything else).
 func BenchmarkEndToEnd(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			m, cfg, rcv, nDisplay, pool := benchPipeline(b, w)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := channel.Simulate(m, nDisplay, cfg)
-				if err != nil {
-					b.Fatal(err)
+	for _, c := range benchcmp.EndToEndContents {
+		for _, w := range benchWorkerCounts() {
+			b.Run(fmt.Sprintf("%sworkers=%d", c.Infix, w), func(b *testing.B) {
+				m, cfg, rcv, nDisplay, pool := benchPipeline(b, w, c.Source)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := channel.Simulate(m, nDisplay, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nDisplay/rcv.Config().Tau)
+					res.Recycle(pool)
 				}
-				rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nDisplay/rcv.Config().Tau)
-				res.Recycle(pool)
-			}
-			b.StopTimer()
-			s := pool.Stats()
-			b.ReportMetric(float64(s.Misses), "pool-misses")
-		})
+				b.StopTimer()
+				s := pool.Stats()
+				b.ReportMetric(float64(s.Misses), "pool-misses")
+			})
+		}
 	}
 }
 
 // BenchmarkDecodeCaptures isolates the receive side: per-capture energy
 // measurement plus the adaptive per-Block decode, sequential vs parallel.
 func BenchmarkDecodeCaptures(b *testing.B) {
-	m, cfg, _, nDisplay, _ := benchPipeline(b, 0)
+	gray := benchcmp.EndToEndContents[0].Source
+	m, cfg, _, nDisplay, _ := benchPipeline(b, 0, gray)
 	res, err := channel.Simulate(m, nDisplay, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, w := range benchWorkerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			_, _, rcv, _, _ := benchPipeline(b, w)
+			_, _, rcv, _, _ := benchPipeline(b, w, gray)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -10,15 +10,18 @@
 // -workers bounds every simulation worker pool (0 = GOMAXPROCS, 1 =
 // sequential); outputs are bit-identical at any value. -exp speedup times the
 // end-to-end pipeline sequentially and with the full pool and reports the
-// ratio, verifying on the way that both runs produced identical captures.
+// ratio, verifying on the way that both runs produced identical captures,
+// and prints the renderer's RenderStats next to the display's stored vs
+// shown drive frames.
 // -exp fleet renders the multiplexed stream once and decodes it with an
 // N-receiver population (-fleet-n), printing the availability/BER/TTFD
 // distributions and the receivers/sec headline.
 //
 // -json <path> skips the figure tables and instead writes a machine-readable
 // baseline (conventionally BENCH_<date>.json at the repo root): ns/op for
-// the EndToEnd and DecodeCaptures stages at workers=1 and GOMAXPROCS, the
-// same shapes BenchmarkEndToEnd/BenchmarkDecodeCaptures measure, so the
+// the EndToEnd (static gray and moving sun-rise), DecodeCaptures and Fleet
+// stages at workers=1 and GOMAXPROCS, the same shapes
+// BenchmarkEndToEnd/BenchmarkDecodeCaptures/BenchmarkFleet measure, so the
 // bench trajectory has comparable seed points across PRs.
 //
 // The output is the source of the measured columns in EXPERIMENTS.md.
@@ -46,7 +49,7 @@ func main() {
 	scale := flag.Int("scale", 2, "paper-geometry divisor (1 = full 1080p, 2 = half)")
 	workers := flag.Int("workers", 0, "worker pool bound (0 = GOMAXPROCS, 1 = sequential)")
 	fleetN := flag.Int("fleet-n", 16, "fleet experiment population size")
-	jsonPath := flag.String("json", "", "write a BENCH_*.json baseline (EndToEnd, DecodeCaptures and Fleet ns/op at workers=1 and GOMAXPROCS) to this path and exit")
+	jsonPath := flag.String("json", "", "write a BENCH_*.json baseline (EndToEnd on gray and sun-rise, DecodeCaptures and Fleet ns/op at workers=1 and GOMAXPROCS) to this path and exit")
 	flag.Parse()
 
 	if *jsonPath != "" {
@@ -335,8 +338,13 @@ func speedupReport(w *os.File, scale int, seconds float64) error {
 		renderStats.Blocks, renderStats.BlocksSkipped, renderStats.SkipRate(),
 		renderStats.HeadroomSkipped, renderStats.HeadroomBlocks+renderStats.HeadroomSkipped,
 		renderStats.VideoSkipped, renderStats.VideoRefreshes+renderStats.VideoSkipped)
+	// The display's count is kept off RenderStats: it is a property of the
+	// push path, not of the renderer.
+	fmt.Fprintf(w, "display: stored %d of %d drive frames shown (%d repeated by reference)\n",
+		parRes.StoredFrames, nDisplay, nDisplay-parRes.StoredFrames)
 
-	if len(seqRes.Captures) != len(parRes.Captures) || len(seqDec) != len(parDec) {
+	if len(seqRes.Captures) != len(parRes.Captures) || len(seqDec) != len(parDec) ||
+		seqRes.StoredFrames != parRes.StoredFrames {
 		return fmt.Errorf("sequential and parallel runs diverged in shape")
 	}
 	for i := range seqRes.Captures {

@@ -32,11 +32,29 @@ func FleetConfig(scale, w int) (fleet.Config, error) {
 	return cfg, nil
 }
 
-// pipeline builds the scaled paper pipeline with every stage's worker pool
-// set to w and one shared frame pool — the same shape benchPipeline gives
-// the BenchmarkEndToEnd / BenchmarkDecodeCaptures tests, so baseline
-// numbers are directly comparable to `go test -bench` output.
-func pipeline(scale, w int) (*core.Multiplexer, channel.Config, *core.Receiver, int, *frame.Pool, error) {
+// Content is one EndToEnd video source: Infix names its rows
+// ("EndToEnd/" + Infix + "workers=N"; empty for the original gray rows),
+// Source builds the clip at the panel size.
+type Content struct {
+	Infix  string
+	Source func(w, h int) video.Source
+}
+
+// EndToEndContents are the sources the EndToEnd rows run on: static gray,
+// where the incremental renderer and the display's repeated frames skip
+// most of the work, and moving sun-rise video, where they cannot.
+// BenchmarkEndToEnd measures the same two.
+var EndToEndContents = []Content{
+	{Infix: "", Source: func(w, h int) video.Source { return video.Gray(w, h) }},
+	{Infix: "sunrise/", Source: func(w, h int) video.Source { return video.NewSunRise(w, h, 1) }},
+}
+
+// pipeline builds the scaled paper pipeline on content src with every
+// stage's worker pool set to w and one shared frame pool — the same shape
+// benchPipeline gives the BenchmarkEndToEnd / BenchmarkDecodeCaptures
+// tests, so baseline numbers are directly comparable to `go test -bench`
+// output.
+func pipeline(scale, w int, src func(w, h int) video.Source) (*core.Multiplexer, channel.Config, *core.Receiver, int, *frame.Pool, error) {
 	l, err := core.ScaledPaperLayout(scale)
 	if err != nil {
 		return nil, channel.Config{}, nil, 0, nil, err
@@ -45,7 +63,7 @@ func pipeline(scale, w int) (*core.Multiplexer, channel.Config, *core.Receiver, 
 	p := core.DefaultParams(l)
 	p.Workers = w
 	p.Pool = pool
-	m, err := core.NewMultiplexer(p, video.Gray(l.FrameW, l.FrameH), core.NewRandomStream(l, 1))
+	m, err := core.NewMultiplexer(p, src(l.FrameW, l.FrameH), core.NewRandomStream(l, 1))
 	if err != nil {
 		return nil, channel.Config{}, nil, 0, nil, err
 	}
@@ -137,9 +155,10 @@ func Calibrate() int64 {
 	return r.NsPerOp()
 }
 
-// Measure benchmarks EndToEnd (render + channel + decode) and DecodeCaptures
-// (receive side only) at workers=1 and, when the machine has more than one
-// core, workers=GOMAXPROCS, and returns the results as a fresh baseline.
+// Measure benchmarks EndToEnd (render + channel + decode, on every
+// EndToEndContents source) and DecodeCaptures (receive side only) at
+// workers=1 and, when the machine has more than one core,
+// workers=GOMAXPROCS, and returns the results as a fresh baseline.
 // Every entry is the best of measureRepeats samples, so committed baselines
 // and benchdiff's fresh runs estimate the same (noise-free) quantity, and
 // the calibration kernel is timed alongside so Compare can normalize away
@@ -158,38 +177,41 @@ func Measure(scale int) (*Baseline, error) {
 		Scale:        scale,
 		CalibNsPerOp: Calibrate(),
 	}
-	for _, w := range counts {
-		m, cfg, rcv, nDisplay, pool, err := pipeline(scale, w)
-		if err != nil {
-			return nil, err
-		}
-		var benchErr error
-		r := measureBest(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := channel.Simulate(m, nDisplay, cfg)
-				if err != nil {
-					benchErr = err
-					b.FailNow()
-				}
-				rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nDisplay/rcv.Config().Tau)
-				res.Recycle(pool)
+	for _, c := range EndToEndContents {
+		for _, w := range counts {
+			m, cfg, rcv, nDisplay, pool, err := pipeline(scale, w, c.Source)
+			if err != nil {
+				return nil, err
 			}
-		})
-		if benchErr != nil {
-			return nil, benchErr
+			var benchErr error
+			r := measureBest(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := channel.Simulate(m, nDisplay, cfg)
+					if err != nil {
+						benchErr = err
+						b.FailNow()
+					}
+					rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nDisplay/rcv.Config().Tau)
+					res.Recycle(pool)
+				}
+			})
+			if benchErr != nil {
+				return nil, benchErr
+			}
+			base.Benchmarks = append(base.Benchmarks, Entry{
+				Name:        fmt.Sprintf("EndToEnd/%sworkers=%d", c.Infix, w),
+				Iterations:  r.N,
+				NsPerOp:     r.NsPerOp(),
+				AllocsPerOp: r.AllocsPerOp(),
+				BytesPerOp:  r.AllocedBytesPerOp(),
+			})
 		}
-		base.Benchmarks = append(base.Benchmarks, Entry{
-			Name:        fmt.Sprintf("EndToEnd/workers=%d", w),
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
 	}
 	// Decode-only: one captured sequence (full pool), then time the decode
 	// at each worker count.
-	m, cfg, _, nDisplay, _, err := pipeline(scale, 0)
+	gray := EndToEndContents[0].Source
+	m, cfg, _, nDisplay, _, err := pipeline(scale, 0, gray)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +220,7 @@ func Measure(scale int) (*Baseline, error) {
 		return nil, err
 	}
 	for _, w := range counts {
-		_, _, rcv, _, _, err := pipeline(scale, w)
+		_, _, rcv, _, _, err := pipeline(scale, w, gray)
 		if err != nil {
 			return nil, err
 		}

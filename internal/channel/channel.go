@@ -229,6 +229,10 @@ type Result struct {
 	Captures []*frame.Frame
 	Times    []float64
 	Exposure float64
+	// StoredFrames is how many distinct drive frames the display stored
+	// for the displayed frames; the rest were repeats appended by
+	// reference (display.Display.StoredFrames).
+	StoredFrames int
 }
 
 // Recycle puts every capture back into p (typically the shared pipeline
@@ -255,13 +259,9 @@ func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, err
 	s := newSchedule(link.Display, link.Camera, cfg.CameraStart, cfg.Impair, cfg.Workers,
 		float64(nDisplayFrames)/cfg.Display.RefreshHz)
 	for k := 0; k < nDisplayFrames; k++ {
-		f := m.Frame(k)
-		err := link.Display.Push(f)
-		// The display has copied the frame into its drive history (or
-		// rejected it): either way nothing holds the buffer any more, so
-		// the next render reuses it.
-		m.Recycle(f)
-		if err != nil {
+		// PushFrame recycles every frame it renders and appends certified
+		// repeats by reference (core.Multiplexer.PushFrame).
+		if err := m.PushFrame(link.Display, k); err != nil {
 			s.pool.Wait()
 			return nil, fmt.Errorf("channel: frame %d: %w", k, err)
 		}
@@ -271,5 +271,6 @@ func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, err
 		return nil, fmt.Errorf("channel: displayed duration too short for any capture")
 	}
 	caps, times := s.finish()
-	return &Result{Captures: caps, Times: times, Exposure: cfg.Camera.Exposure}, nil
+	return &Result{Captures: caps, Times: times, Exposure: cfg.Camera.Exposure,
+		StoredFrames: link.Display.StoredFrames()}, nil
 }

@@ -108,6 +108,25 @@ type Multiplexer struct {
 	rowBlocks []int64
 	rowSkips  []int64
 	stats     RenderStats
+
+	// Repeat certification (DESIGN.md §5j): prevK is the last refreshed
+	// display frame, lastChange the last frame whose refresh changed an
+	// input of the output sweep (video pixels or a delta Block) or broke
+	// the consecutive run, and pushed the last two frames PushFrame put on
+	// a display, oldest first.
+	prevK      int
+	lastChange int
+	pushed     [2]pushRecord
+}
+
+// pushRecord identifies one frame PushFrame appended: the display, the
+// display frame index, and the display's frame count right after it. The
+// records keep the last display reachable until two later pushes replace
+// them.
+type pushRecord struct {
+	d *display.Display
+	k int
+	n int
 }
 
 // RenderStats counts the incremental renderer's work avoidance since the
@@ -155,7 +174,7 @@ func NewMultiplexer(p Params, src video.Source, data Stream) (*Multiplexer, erro
 	if pool == nil {
 		pool = frame.NewPool()
 	}
-	return &Multiplexer{p: p, video: src, data: data, pool: pool, videoIdx: -1}, nil
+	return &Multiplexer{p: p, video: src, data: data, pool: pool, videoIdx: -1, prevK: -1}, nil
 }
 
 // Params returns the transmitter parameters.
@@ -372,31 +391,23 @@ func renderDelta(p Params, cur, next *DataFrame, k int, headroom, deltaAmp []flo
 	})
 }
 
-// Frame renders display frame k: the current video frame plus the signed,
-// clipped, smoothed chessboard of every Block. The returned frame is drawn
-// from the multiplexer's pool; the caller owns it until it hands it back
-// via Recycle (or keeps it forever — Render's contract).
-//
-// The render is incremental: pass one refreshes the cached unsigned delta
-// plane, rewriting only Blocks whose clipped amplitude changed since the
-// previous render (during the steady half of a smoothing cycle on a static
-// video that is zero Blocks); pass two fuses clone, signed add and clamp
-// into one sweep out = clamp(V + sign·D). The complementary pair's two
-// frames differ only in sign, so they share one delta refresh. The output
-// is bit-identical to the direct clone+add+clamp formulation — see
-// DESIGN.md §5j for the argument and TestFixedPointBitIdentity for the
-// adversarial check.
-func (m *Multiplexer) Frame(k int) *frame.Frame {
+// refresh advances the per-frame render state to display frame k: the video
+// frame and headroom table (refreshVideo), the cached delta plane
+// (renderDelta) and the RenderStats counters. It runs for every frame,
+// rendered or repeated, and records in lastChange whether the output
+// sweep's inputs moved.
+func (m *Multiplexer) refresh(k int) {
 	if k < 0 {
 		panic("core: negative display frame index")
 	}
+	if k != m.prevK+1 {
+		m.lastChange = k
+	}
+	m.prevK = k
+	loads := m.stats.VideoRefreshes
 	m.refreshVideo(k)
 	l := m.p.Layout
 	m.ensureScratch()
-	sign := float32(1)
-	if k%2 == 1 {
-		sign = -1
-	}
 	// Resolve the two data frames once: workers must not touch the Stream
 	// (implementations may cache or whiten per call).
 	cur := m.data.DataFrame(k / m.p.Tau)
@@ -405,12 +416,26 @@ func (m *Multiplexer) Frame(k int) *frame.Frame {
 	// and a disjoint span of deltaAmp, so rows fan out with no overlap and
 	// the result is bit-identical at any worker count.
 	renderDelta(m.p, cur, next, k, m.headroom, m.deltaAmp, m.delta, m.rowBlocks, m.rowSkips)
+	var rewritten int64
 	for by := 0; by < l.BlocksY; by++ {
 		m.stats.Blocks += m.rowBlocks[by]
 		m.stats.BlocksSkipped += m.rowSkips[by]
+		rewritten += m.rowBlocks[by] - m.rowSkips[by]
 	}
-	// Fused output pass: clone, signed add and clamp in one sweep. Pixel
-	// rows are disjoint, so the fan-out is again an ordered merge.
+	if rewritten > 0 || m.stats.VideoRefreshes != loads {
+		m.lastChange = k
+	}
+}
+
+// sweep renders display frame k from the refreshed state: clone, signed add
+// and clamp fused into one pass out = clamp(V + sign·D) over a pooled frame.
+// Pixel rows are disjoint, so the fan-out is an ordered merge.
+func (m *Multiplexer) sweep(k int) *frame.Frame {
+	l := m.p.Layout
+	sign := float32(1)
+	if k%2 == 1 {
+		sign = -1
+	}
 	out := m.pool.Get(l.FrameW, l.FrameH)
 	vp, dp, op := m.vframe.Pix, m.delta.Pix, out.Pix
 	w := l.FrameW
@@ -427,6 +452,70 @@ func (m *Multiplexer) Frame(k int) *frame.Frame {
 		}
 	})
 	return out
+}
+
+// Frame renders display frame k: the current video frame plus the signed,
+// clipped, smoothed chessboard of every Block. The returned frame is drawn
+// from the multiplexer's pool; the caller owns it until it hands it back
+// via Recycle (or keeps it forever — Render's contract).
+//
+// The render is incremental: refresh updates the cached unsigned delta
+// plane, rewriting only Blocks whose clipped amplitude changed since the
+// previous render (during the steady half of a smoothing cycle on a static
+// video that is zero Blocks); sweep fuses clone, signed add and clamp into
+// one pass out = clamp(V + sign·D). The complementary pair's two frames
+// differ only in sign, so they share one delta refresh. The output is
+// bit-identical to the direct clone+add+clamp formulation — see DESIGN.md
+// §5j for the argument and TestFixedPointBitIdentity for the adversarial
+// check.
+func (m *Multiplexer) Frame(k int) *frame.Frame {
+	m.refresh(k)
+	return m.sweep(k)
+}
+
+// PushFrame appends display frame k to d. When the repeat rule certifies
+// that frame k equals frame k−2 byte for byte, the display re-appends frame
+// k−2's drive storage by reference (display.Repeat) and the sweep, the
+// quantization and the drive copy are skipped; otherwise the frame is
+// rendered, pushed and recycled exactly as Frame + Push + Recycle.
+//
+// The rule needs no pixel comparison. The sweep's inputs are the video
+// frame, the delta plane and the sign, and the sign of k equals that of
+// k−2. So frame k repeats when k ≥ 2, the refreshes of frames k−1 and k
+// ran consecutively and changed neither the video pixels nor a delta Block
+// (lastChange ≤ k−2), and the display's last two drive frames are this
+// multiplexer's frames k−2 and k−1, pushed by PushFrame onto d with
+// nothing appended since. A foreign Push, a random-access Frame in between
+// or a second display therefore always forces a full render. The refresh
+// runs either way, so RenderStats match a Frame + Push replay.
+func (m *Multiplexer) PushFrame(d *display.Display, k int) error {
+	m.refresh(k)
+	var err error
+	if m.repeatable(d, k) {
+		err = d.Repeat(2)
+	} else {
+		f := m.sweep(k)
+		err = d.Push(f)
+		// The display has copied the frame into its drive history (or
+		// rejected it): either way nothing holds the buffer any more.
+		m.Recycle(f)
+	}
+	if err != nil {
+		return err
+	}
+	m.pushed[0], m.pushed[1] = m.pushed[1], pushRecord{d: d, k: k, n: d.NumFrames()}
+	return nil
+}
+
+// repeatable reports whether PushFrame may append frame k as a repeat of
+// frame k−2 (see PushFrame for the rule).
+func (m *Multiplexer) repeatable(d *display.Display, k int) bool {
+	if k < 2 || m.lastChange > k-2 {
+		return false
+	}
+	n := d.NumFrames()
+	return m.pushed[1] == pushRecord{d: d, k: k - 1, n: n} &&
+		m.pushed[0] == pushRecord{d: d, k: k - 2, n: n - 1}
 }
 
 // Recycle returns a frame obtained from Frame to the multiplexer's pool
@@ -446,20 +535,16 @@ func (m *Multiplexer) Render(n int) []*frame.Frame {
 	return frames
 }
 
-// PushTo renders n display frames straight onto a display simulator,
-// recycling each frame once the display has copied it into its drive
-// history — the steady-state loop reuses one buffer for the whole run.
+// PushTo pushes display frames [0, n) straight onto a display simulator
+// through PushFrame: rendered frames are recycled once the display has
+// copied them, so the steady-state loop reuses one buffer for the whole
+// run, and certified repeats are appended by reference without a render.
 func (m *Multiplexer) PushTo(d *display.Display, n int) error {
 	for k := 0; k < n; k++ {
-		f := m.Frame(k)
-		if err := d.Push(f); err != nil {
-			// The display rejected the frame without consuming it; hand it
-			// back before surfacing the error or the pool leaks a buffer.
-			m.Recycle(f)
+		if err := m.PushFrame(d, k); err != nil {
 			//lint:ignore hotalloc error path runs at most once, then the loop exits
 			return fmt.Errorf("core: pushing frame %d: %w", k, err)
 		}
-		m.Recycle(f)
 	}
 	return nil
 }

@@ -21,6 +21,9 @@
 // Drive frames are stored as bytes (the cable carries 8-bit values) and
 // mapped to luminance through a 256-entry lookup table, keeping hour-long
 // simulations within memory and avoiding per-pixel pow() in the hot path.
+// Drive frames are read-only once appended, so an interval that shows an
+// earlier frame again (Repeat) shares that frame's storage: NumFrames counts
+// the intervals shown, StoredFrames the distinct frames kept.
 package display
 
 import (
@@ -83,8 +86,8 @@ func (c Config) Validate() error {
 // Brightness 1.0) so it composes naturally with 8-bit pixel arithmetic.
 //
 // A Display is safe for concurrent use by one pusher and any number of
-// readers: Push takes the write lock, every light-field query takes the
-// read lock. That is exactly the shape of the pipelined channel simulator,
+// readers: Push and Repeat take the write lock, every light-field query
+// takes the read lock. That is exactly the shape of the pipelined channel simulator,
 // where capture workers integrate frames the renderer has already pushed
 // while it keeps pushing new ones.
 type Display struct {
@@ -93,12 +96,18 @@ type Display struct {
 
 	// mu orders Push (writer) against the light-field readers.
 	mu sync.RWMutex
-	// drive[k] is the quantized 8-bit drive frame of interval k.
+	// drive[k] is the quantized 8-bit drive frame of interval k. Entries
+	// are read-only once appended, so Repeat may point several intervals
+	// at one frame's storage.
 	drive [][]uint8
+	// stored counts the drive frames Push copied in; the remaining
+	// len(drive) − stored intervals are Repeat references.
+	stored int
 	// arena backs drive rows in multi-frame chunks, so a Push costs an
 	// amortized slice carve instead of a per-frame allocation. Exhausted
 	// chunks stay alive through the drive slices that point into them (the
-	// drive history IS the light field, so nothing is ever freed anyway).
+	// drive history IS the light field, so nothing is ever freed anyway);
+	// a repeated interval carves nothing.
 	arena []uint8
 	// lut maps a drive value to linear luminance.
 	lut [256]float32
@@ -132,6 +141,14 @@ func (d *Display) NumFrames() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.drive)
+}
+
+// StoredFrames returns how many distinct drive frames the display holds:
+// NumFrames minus the intervals Repeat appended by reference.
+func (d *Display) StoredFrames() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.stored
 }
 
 // Duration returns the total displayed time in seconds.
@@ -171,6 +188,25 @@ func (d *Display) Push(f *frame.Frame) error {
 		dr[i] = frame.Quant8(v)
 	}
 	d.drive = append(d.drive, dr)
+	d.stored++
+	if d.cfg.ResponseTime > 0 {
+		d.extendState()
+	}
+	return nil
+}
+
+// Repeat appends, for the next refresh interval, the drive frame shown back
+// intervals ago (1 = the newest) once more. The interval shares that
+// frame's storage instead of copying it, so the light field is exactly what
+// pushing a copy would give at no memory cost. It returns an error when
+// back is outside [1, NumFrames].
+func (d *Display) Repeat(back int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if back < 1 || back > len(d.drive) {
+		return fmt.Errorf("display: cannot repeat the frame %d back in a history of %d", back, len(d.drive))
+	}
+	d.drive = append(d.drive, d.drive[len(d.drive)-back])
 	if d.cfg.ResponseTime > 0 {
 		d.extendState()
 	}

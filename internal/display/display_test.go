@@ -351,3 +351,95 @@ func TestStrobeComplementaryPairStillFuses(t *testing.T) {
 		t.Fatalf("strobed pair fuses to %v, want 127", avg.At(1, 1))
 	}
 }
+
+func TestRepeatOutOfRange(t *testing.T) {
+	d := mustNew(t, idealConfig())
+	if err := d.Repeat(1); err == nil {
+		t.Fatal("Repeat on an empty display succeeded")
+	}
+	for i := 0; i < 2; i++ {
+		if err := d.Push(frame.NewFilled(4, 2, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, back := range []int{-1, 0, 3} {
+		if err := d.Repeat(back); err == nil {
+			t.Errorf("Repeat(%d) with 2 frames pushed succeeded", back)
+		}
+	}
+	if d.NumFrames() != 2 || d.StoredFrames() != 2 {
+		t.Fatalf("rejected repeats changed the history: %d shown, %d stored", d.NumFrames(), d.StoredFrames())
+	}
+}
+
+// TestRepeatMatchesPushedCopy: repeating an earlier frame lights the panel
+// exactly as pushing a copy of it would, through the response-state chain
+// and through the strobed backlight.
+func TestRepeatMatchesPushedCopy(t *testing.T) {
+	strobe := DefaultConfig()
+	strobe.StrobeDuty = 0.25
+	a := frame.NewFilled(6, 3, 40)
+	b := frame.NewFilled(6, 3, 210)
+	b.Set(2, 1, 0)
+	seq := []*frame.Frame{a, b, a, b, b, a}
+	backs := []int{0, 0, 2, 2, 1, 3} // 0 = push; repeats reproduce seq
+	for name, cfg := range map[string]Config{"response": DefaultConfig(), "strobe": strobe} {
+		t.Run(name, func(t *testing.T) {
+			rep, cp := mustNew(t, cfg), mustNew(t, cfg)
+			for i, f := range seq {
+				if err := cp.Push(f); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if backs[i] == 0 {
+					err = rep.Push(f)
+				} else {
+					err = rep.Repeat(backs[i])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			T := rep.FrameDuration()
+			got, want := make([]float32, 6), make([]float32, 6)
+			for _, win := range [][2]float64{{0, T}, {0.3 * T, 2.6 * T}, {1.9 * T, 5.2 * T}, {-T, 7 * T}, {4.5 * T, 4.9 * T}} {
+				for y := 0; y < 3; y++ {
+					rep.RowAverage(y, win[0], win[1], got)
+					cp.RowAverage(y, win[0], win[1], want)
+					for x := range want {
+						if math.Float32bits(got[x]) != math.Float32bits(want[x]) {
+							t.Fatalf("window %v row %d px %d: repeat %v, copy %v", win, y, x, got[x], want[x])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestRepeatAccounting(t *testing.T) {
+	d := mustNew(t, idealConfig())
+	if err := d.Push(frame.NewFilled(8, 4, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Push(frame.NewFilled(8, 4, 20)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := d.Repeat(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d.NumFrames() != 12 || d.StoredFrames() != 2 {
+		t.Fatalf("%d shown, %d stored; want 12 and 2", d.NumFrames(), d.StoredFrames())
+	}
+	if math.Abs(d.Duration()-0.1) > 1e-12 {
+		t.Fatalf("Duration = %v, want 0.1", d.Duration())
+	}
+	if w, h := d.Size(); w != 8 || h != 4 {
+		t.Fatalf("Size = %dx%d, want 8x4", w, h)
+	}
+	if v := d.Luminance(11).At(0, 0); v != 20 {
+		t.Fatalf("frame 11 luminance %v, want the repeated 20", v)
+	}
+}

@@ -91,7 +91,7 @@ func (s Setup) ratePixelPitch(p int, paperPitch float64) (mean, std float64, err
 		return 0, 0, errR
 	}
 	for k := 0; k < n; k++ {
-		if err := ref.Push(src.Frame(k / 4)); err != nil {
+		if err := ref.Push(src.Frame(k / params.VideoFrameRatio)); err != nil {
 			return 0, 0, err
 		}
 	}

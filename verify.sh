@@ -109,19 +109,21 @@ run_alloc_tests() {
 	# Uninstrumented rerun of the steady-state allocation tests: they pass
 	# under -race too, but only this run measures the true allocs/op that
 	# the BENCH_*.json baselines pin.
-	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs' -count=1 .
+	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestWorkerCountInvariancePooled' -count=1 .
 }
 
 run_kernels() {
 	# The fixed-point identity gate in isolation under the race detector:
-	# the int32 kernels' bit-identity/error-bound pins (internal/fixed) and
+	# the int32 kernels' bit-identity/error-bound pins (internal/fixed),
 	# the fused pair-aware renderer's equivalence to the direct
-	# clone+add+clamp formulation at several worker counts (DESIGN.md §5j).
+	# clone+add+clamp formulation at several worker counts, and the
+	# repeat path's equivalence to Frame + Push plus its negative cases
+	# (DESIGN.md §5j).
 	go test -race -count=1 \
 		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
 	go test -race -count=1 \
-		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool' \
+		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushToMatchesFramePush|TestPushFrame' \
 		./internal/core/
 	go test -race -count=1 \
 		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck' \
