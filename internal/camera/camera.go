@@ -18,6 +18,7 @@ package camera
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"inframe/internal/display"
 	"inframe/internal/fixed"
@@ -138,6 +139,11 @@ type Camera struct {
 	// built once per camera: the per-pixel math.Pow it replaces was the
 	// single largest EndToEnd profile entry (see DESIGN.md §5j).
 	gamma *fixed.Gamma
+	// resampler holds the area taps of the last (integration plane,
+	// sensor) size pair, built once rather than on every capture; an
+	// atomic pointer because the channel's schedule runs captures of one
+	// camera concurrently, and a resampler is immutable once built.
+	resampler atomic.Pointer[frame.Resampler]
 }
 
 // New returns a camera for the given configuration.
@@ -210,7 +216,12 @@ func (c *Camera) CaptureWith(d *display.Display, t0 float64, index, rowWorkers i
 		lin = window
 	}
 	out := c.pool.Get(c.cfg.W, c.cfg.H)
-	frame.ResampleInto(lin, out)
+	rs := c.resampler.Load()
+	if rs == nil || !rs.Fits(lin, out) {
+		rs = frame.NewResampler(lin.W, lin.H, out.W, out.H)
+		c.resampler.Store(rs)
+	}
+	rs.Into(lin, out)
 	c.pool.Put(lin)
 	c.encode(out)
 	c.addNoise(out, index)

@@ -248,3 +248,28 @@ func TestCapturePanicsOnEmptyDisplay(t *testing.T) {
 	}()
 	cam.Capture(d, 0, 0)
 }
+
+// TestResamplerCacheFollowsDisplaySize: the camera's cached resampling taps
+// are rebuilt when the display size changes, so one camera alternating
+// between panels captures exactly what a fresh camera would.
+func TestResamplerCacheFollowsDisplaySize(t *testing.T) {
+	big := testDisplay(t, frame.NewFilled(96, 64, 100))
+	small := testDisplay(t, frame.NewFilled(60, 34, 180))
+	cfg := quietConfig(24, 16)
+	shared, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		for _, d := range []*display.Display{big, small} {
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := shared.Capture(d, 0, 3), fresh.Capture(d, 0, 3)
+			if !got.Equal(want) {
+				t.Fatalf("round %d: the cached resampler diverges from a fresh camera", round)
+			}
+		}
+	}
+}

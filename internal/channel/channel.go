@@ -7,6 +7,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"inframe/internal/camera"
 	"inframe/internal/core"
@@ -150,17 +151,26 @@ func Capture(d *display.Display, cam *camera.Camera, start float64, imp *impair.
 // captures with the pushes. Every capture's noise and fault streams are
 // keyed by its index and results land in index-addressed slots, so the
 // sequence is bit-identical at any worker count and any push interleaving.
+//
+// Each capture records its completion, so the schedule also knows the
+// earliest moment any unfinished capture will still read (horizon): the
+// display history before it has no reader left.
 type schedule struct {
 	st     *impair.Stack
 	pool   *parallel.Pool
 	frames *frame.Pool // the camera's pool: drops return to it, duplicates come from it
-	take   func(i int) // exposes capture i into caps[i]
+	take   func(i int) // exposes capture i into caps[i], then marks it done
 	caps   []*frame.Frame
 	times  []float64
-	period float64
-	span   float64 // exposure + readout: the window one capture integrates
-	frameT float64 // display frame period
-	next   int     // first capture not yet dispatched
+	// earliest[i] is the minimum of times[i:]: jitter may reorder
+	// exposure starts, so a later capture can start before an earlier one.
+	earliest []float64
+	done     []atomic.Bool
+	period   float64
+	span     float64 // exposure + readout: the window one capture integrates
+	frameT   float64 // display frame period
+	next     int     // first capture not yet dispatched
+	low      int     // first capture not yet known to be done
 }
 
 // newSchedule plans every capture that fits inside dur seconds of display:
@@ -186,8 +196,14 @@ func newSchedule(d *display.Display, cam *camera.Camera, start float64, imp *imp
 	}
 	s.caps = make([]*frame.Frame, n)
 	s.times = make([]float64, n)
+	s.earliest = make([]float64, n)
+	s.done = make([]atomic.Bool, n)
 	for i := range s.times {
 		s.times[i] = s.st.CaptureTime(i, start, s.period)
+	}
+	s.earliest[n-1] = s.times[n-1]
+	for i := n - 2; i >= 0; i-- {
+		s.earliest[i] = min(s.times[i], s.earliest[i+1])
 	}
 	// Split the budget between concurrent captures and each capture's row
 	// sweep: n captures × full-budget sweeps would oversubscribe it.
@@ -196,6 +212,7 @@ func newSchedule(d *display.Display, cam *camera.Camera, start float64, imp *imp
 		f := cam.CaptureWith(d, s.times[i], i, rows)
 		s.st.ApplyFrame(f, i, s.times[i], ccfg.Exposure)
 		s.caps[i] = f
+		s.done[i].Store(true)
 	}
 	return s
 }
@@ -210,6 +227,18 @@ func (s *schedule) advance(pushed int) {
 		i := s.next
 		s.pool.Go(func() { s.take(i) })
 	}
+}
+
+// horizon returns the earliest exposure start of any capture not yet done
+// (+Inf once every capture is): no capture will read the display before it.
+func (s *schedule) horizon() float64 {
+	for s.low < len(s.done) && s.done[s.low].Load() {
+		s.low++
+	}
+	if s.low == len(s.done) {
+		return math.Inf(1)
+	}
+	return s.earliest[s.low]
 }
 
 // finish dispatches the stragglers (everything is pushed now, so float
@@ -233,6 +262,10 @@ type Result struct {
 	// for the displayed frames; the rest were repeats appended by
 	// reference (display.Display.StoredFrames).
 	StoredFrames int
+	// PeakHeldFrames is the most distinct drive frames the display held
+	// at once (display.Display.HeldFrames after each push). Past
+	// Workers=1 it depends on the order captures complete in.
+	PeakHeldFrames int
 }
 
 // Recycle puts every capture back into p (typically the shared pipeline
@@ -250,27 +283,34 @@ func (r *Result) Recycle(p *frame.Pool) {
 // Simulate runs a multiplexer for nDisplayFrames through the link and
 // captures the whole sequence: the standard experiment entry point. The
 // renderer pushes display frames while the capture schedule runs every
-// capture whose window they cover behind it (see Config.Workers).
+// capture whose window they cover behind it (see Config.Workers). After
+// every push the display retires the intervals before the schedule's
+// horizon, so the drive history held follows the capture window, not the
+// run length.
 func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, error) {
 	link, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := newSchedule(link.Display, link.Camera, cfg.CameraStart, cfg.Impair, cfg.Workers,
+	d := link.Display
+	s := newSchedule(d, link.Camera, cfg.CameraStart, cfg.Impair, cfg.Workers,
 		float64(nDisplayFrames)/cfg.Display.RefreshHz)
-	for k := 0; k < nDisplayFrames; k++ {
-		// PushFrame recycles every frame it renders and appends certified
-		// repeats by reference (core.Multiplexer.PushFrame).
-		if err := m.PushFrame(link.Display, k); err != nil {
-			s.pool.Wait()
-			return nil, fmt.Errorf("channel: frame %d: %w", k, err)
-		}
-		s.advance(k + 1)
-	}
 	if len(s.times) == 0 {
 		return nil, fmt.Errorf("channel: displayed duration too short for any capture")
 	}
+	peak := 0
+	for k := 0; k < nDisplayFrames; k++ {
+		// PushFrame recycles every frame it renders and appends certified
+		// repeats by reference (core.Multiplexer.PushFrame).
+		if err := m.PushFrame(d, k); err != nil {
+			s.pool.Wait()
+			return nil, fmt.Errorf("channel: frame %d: %w", k, err)
+		}
+		peak = max(peak, d.HeldFrames())
+		s.advance(k + 1)
+		d.Retire(s.horizon())
+	}
 	caps, times := s.finish()
 	return &Result{Captures: caps, Times: times, Exposure: cfg.Camera.Exposure,
-		StoredFrames: link.Display.StoredFrames()}, nil
+		StoredFrames: d.StoredFrames(), PeakHeldFrames: peak}, nil
 }

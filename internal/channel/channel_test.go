@@ -148,6 +148,8 @@ func TestSimulateEndToEndGray(t *testing.T) {
 	}
 }
 
+// TestSimulateTooShort: a transmission too short for any capture fails
+// before the multiplexer renders a single frame.
 func TestSimulateTooShort(t *testing.T) {
 	p := testParams()
 	m, err := core.NewMultiplexer(p, video.Gray(48, 32), core.NewRandomStream(p.Layout, 1))
@@ -156,6 +158,9 @@ func TestSimulateTooShort(t *testing.T) {
 	}
 	if _, err := Simulate(m, 2, quietChannel(48, 32)); err == nil {
 		t.Fatal("expected error for too-short transmission")
+	}
+	if st := m.RenderStats(); st != (core.RenderStats{}) {
+		t.Fatalf("the failed run rendered anyway: %+v", st)
 	}
 }
 

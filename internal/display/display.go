@@ -19,11 +19,16 @@
 //     other at 120 Hz.
 //
 // Drive frames are stored as bytes (the cable carries 8-bit values) and
-// mapped to luminance through a 256-entry lookup table, keeping hour-long
-// simulations within memory and avoiding per-pixel pow() in the hot path.
-// Drive frames are read-only once appended, so an interval that shows an
-// earlier frame again (Repeat) shares that frame's storage: NumFrames counts
-// the intervals shown, StoredFrames the distinct frames kept.
+// mapped to luminance through a 256-entry lookup table, avoiding per-pixel
+// pow() in the hot path. Drive frames are read-only once appended, so an
+// interval that shows an earlier frame again (Repeat) shares that frame's
+// storage: NumFrames counts the intervals shown, StoredFrames the distinct
+// frames ever pushed, HeldFrames the distinct frames stored right now.
+//
+// A display keeps its whole history unless its owner retires the intervals
+// no reader will ask for again (Retire): their storage is recycled for later
+// pushes, so a reader that only looks a bounded window behind the newest
+// push (channel.Simulate) runs hour-long simulations within constant memory.
 package display
 
 import (
@@ -44,8 +49,9 @@ type Config struct {
 	Gamma float64
 	// ResponseTime is the exponential gray-to-gray time constant in
 	// seconds (0 = ideal instant pixels; fast gaming LCD ≈ 2 ms).
-	// Nonzero response keeps one float32 state frame per refresh in
-	// memory; prefer 0 for long throughput runs.
+	// Nonzero response keeps one float32 state frame per live refresh
+	// interval in memory; on a display that keeps its full history (the
+	// fleet's, a Link's) prefer 0 for long throughput runs.
 	ResponseTime float64
 	// StrobeDuty enables a strobed backlight (the FG2421's "Turbo 240"
 	// black-frame insertion): light is emitted only during the final
@@ -86,35 +92,44 @@ func (c Config) Validate() error {
 // Brightness 1.0) so it composes naturally with 8-bit pixel arithmetic.
 //
 // A Display is safe for concurrent use by one pusher and any number of
-// readers: Push and Repeat take the write lock, every light-field query
-// takes the read lock. That is exactly the shape of the pipelined channel simulator,
-// where capture workers integrate frames the renderer has already pushed
-// while it keeps pushing new ones.
+// readers: Push, Repeat and Retire take the write lock, every light-field
+// query takes the read lock. That is exactly the shape of the pipelined
+// channel simulator, where capture workers integrate frames the renderer has
+// already pushed while it keeps pushing new ones.
 type Display struct {
 	cfg  Config
 	w, h int
 
 	// mu orders Push (writer) against the light-field readers.
 	mu sync.RWMutex
-	// drive[k] is the quantized 8-bit drive frame of interval k. Entries
-	// are read-only once appended, so Repeat may point several intervals
-	// at one frame's storage.
-	drive [][]uint8
+	// off is the number of retired intervals: drive[k−off] is the storage
+	// slot of interval k, for every interval not yet retired.
+	off   int
+	drive []int
+	// slots are the drive frames' storage, one quantized 8-bit frame each.
+	// refs[s] counts the live intervals showing slot s (Repeat points
+	// several intervals at one slot); a slot whose count drops to zero goes
+	// onto free, and Push reuses free slots before it carves new storage.
+	slots [][]uint8
+	refs  []int
+	free  []int
 	// stored counts the drive frames Push copied in; the remaining
-	// len(drive) − stored intervals are Repeat references.
+	// NumFrames − stored intervals are Repeat references.
 	stored int
-	// arena backs drive rows in multi-frame chunks, so a Push costs an
-	// amortized slice carve instead of a per-frame allocation. Exhausted
-	// chunks stay alive through the drive slices that point into them (the
-	// drive history IS the light field, so nothing is ever freed anyway);
-	// a repeated interval carves nothing.
+	// arena backs new slots in multi-frame chunks, so a Push that finds no
+	// free slot costs an amortized slice carve instead of a per-frame
+	// allocation. Chunks double from one frame up to 16: a retiring
+	// display that holds a handful of frames carves no more than it
+	// needs, a full-history one allocates once per 16 frames.
 	arena []uint8
 	// lut maps a drive value to linear luminance.
 	lut [256]float32
-	// state[k] is the actual luminance at the *start* of interval k when
-	// ResponseTime > 0, accounting for the exponential response; extended
-	// eagerly at Push so readers never mutate.
+	// state[k−off] is the actual luminance at the *start* of interval k
+	// when ResponseTime > 0, accounting for the exponential response;
+	// extended eagerly at Push so readers never mutate. Retired state
+	// frames wait on spare for reuse.
 	state []*frame.Frame
+	spare []*frame.Frame
 }
 
 // New returns a display with the given config; frame dimensions are fixed by
@@ -136,14 +151,18 @@ func (d *Display) Config() Config { return d.cfg }
 // FrameDuration returns the length of one refresh interval in seconds.
 func (d *Display) FrameDuration() float64 { return 1 / d.cfg.RefreshHz }
 
-// NumFrames returns how many drive frames have been pushed.
+// NumFrames returns how many refresh intervals have been shown: every Push
+// and Repeat, retired or not.
 func (d *Display) NumFrames() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.drive)
+	return d.shown()
 }
 
-// StoredFrames returns how many distinct drive frames the display holds:
+// shown is NumFrames without locking; callers hold mu.
+func (d *Display) shown() int { return d.off + len(d.drive) }
+
+// StoredFrames returns how many distinct drive frames were ever pushed:
 // NumFrames minus the intervals Repeat appended by reference.
 func (d *Display) StoredFrames() int {
 	d.mu.RLock()
@@ -151,11 +170,19 @@ func (d *Display) StoredFrames() int {
 	return d.stored
 }
 
+// HeldFrames returns how many distinct drive frames the display stores right
+// now: the slots some interval not yet retired still shows.
+func (d *Display) HeldFrames() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.slots) - len(d.free)
+}
+
 // Duration returns the total displayed time in seconds.
 func (d *Display) Duration() float64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return float64(len(d.drive)) / d.cfg.RefreshHz
+	return float64(d.shown()) / d.cfg.RefreshHz
 }
 
 // Size returns the panel resolution (0,0 before the first Push).
@@ -175,19 +202,13 @@ func (d *Display) Push(f *frame.Frame) error {
 	} else if f.W != d.w || f.H != d.h {
 		return fmt.Errorf("display: frame %dx%d does not match panel %dx%d", f.W, f.H, d.w, d.h)
 	}
-	n := len(f.Pix)
-	if cap(d.arena)-len(d.arena) < n {
-		// Carve drive frames from 16-frame chunks: same retained memory
-		// as per-frame allocation (the history is kept forever either
-		// way), 1/16th the allocations.
-		d.arena = make([]uint8, 0, 16*n)
-	}
-	dr := d.arena[len(d.arena) : len(d.arena)+n : len(d.arena)+n]
-	d.arena = d.arena[:len(d.arena)+n]
+	slot := d.newSlot()
+	dr := d.slots[slot]
 	for i, v := range f.Pix {
 		dr[i] = frame.Quant8(v)
 	}
-	d.drive = append(d.drive, dr)
+	d.refs[slot] = 1
+	d.drive = append(d.drive, slot)
 	d.stored++
 	if d.cfg.ResponseTime > 0 {
 		d.extendState()
@@ -195,22 +216,78 @@ func (d *Display) Push(f *frame.Frame) error {
 	return nil
 }
 
+// newSlot returns a free storage slot for one drive frame, reusing a
+// released one before carving new storage from the arena.
+func (d *Display) newSlot() int {
+	if n := len(d.free); n > 0 {
+		slot := d.free[n-1]
+		d.free = d.free[:n-1]
+		return slot
+	}
+	n := d.w * d.h
+	if cap(d.arena)-len(d.arena) < n {
+		d.arena = make([]uint8, 0, min(16, max(1, len(d.slots)))*n)
+	}
+	d.slots = append(d.slots, d.arena[len(d.arena):len(d.arena)+n:len(d.arena)+n])
+	d.refs = append(d.refs, 0)
+	d.arena = d.arena[:len(d.arena)+n]
+	return len(d.slots) - 1
+}
+
 // Repeat appends, for the next refresh interval, the drive frame shown back
 // intervals ago (1 = the newest) once more. The interval shares that
 // frame's storage instead of copying it, so the light field is exactly what
 // pushing a copy would give at no memory cost. It returns an error when
-// back is outside [1, NumFrames].
+// back is outside [1, NumFrames] or reaches a retired interval.
 func (d *Display) Repeat(back int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if back < 1 || back > len(d.drive) {
-		return fmt.Errorf("display: cannot repeat the frame %d back in a history of %d", back, len(d.drive))
+	if back < 1 || back > d.shown() {
+		return fmt.Errorf("display: cannot repeat the frame %d back in a history of %d", back, d.shown())
 	}
-	d.drive = append(d.drive, d.drive[len(d.drive)-back])
+	if back > len(d.drive) {
+		return fmt.Errorf("display: cannot repeat the frame %d back: interval %d is retired", back, d.shown()-back)
+	}
+	slot := d.drive[len(d.drive)-back]
+	d.refs[slot]++
+	d.drive = append(d.drive, slot)
 	if d.cfg.ResponseTime > 0 {
 		d.extendState()
 	}
 	return nil
+}
+
+// Retire releases every interval k < ⌊t/T⌋ (T the refresh period — the
+// first interval RowAverage reads for a window starting at t), except the
+// newest two, which Repeat(2) and the past-the-end clamp still read. A
+// retired drive frame's storage is recycled by later pushes once no live
+// interval shares it, and so are retired response-state frames. The owner
+// calls it with the earliest window start any reader will still ask for;
+// reading a retired interval panics. NumFrames, Duration and StoredFrames
+// are unchanged.
+func (d *Display) Retire(t float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	keep := d.shown() - 2
+	k0 := math.Floor(t / d.FrameDuration())
+	if !(k0 > float64(d.off)) || keep <= d.off {
+		return // nothing below t is live (or t is NaN)
+	}
+	if k0 < float64(keep) {
+		keep = int(k0)
+	}
+	m := keep - d.off
+	for _, slot := range d.drive[:m] {
+		if d.refs[slot]--; d.refs[slot] == 0 {
+			d.free = append(d.free, slot)
+		}
+	}
+	d.drive = d.drive[:copy(d.drive, d.drive[m:])]
+	if len(d.state) > 0 {
+		d.spare = append(d.spare, d.state[:m]...)
+		d.state = d.state[:copy(d.state, d.state[m:])]
+	}
+	d.off = keep
 }
 
 // clampFrame returns the drive frame index clamped to the pushed range: the
@@ -219,14 +296,30 @@ func (d *Display) clampFrame(k int) int {
 	if k < 0 {
 		return 0
 	}
-	if k >= len(d.drive) {
-		return len(d.drive) - 1
+	if n := d.shown(); k >= n {
+		return n - 1
 	}
 	return k
 }
 
+// driveAt returns the drive frame of interval k, clamped to the pushed
+// range; reading a retired interval panics. Callers hold mu.
+func (d *Display) driveAt(k int) []uint8 {
+	k = d.clampFrame(k)
+	if k < d.off {
+		d.retired(k)
+	}
+	return d.slots[d.drive[k-d.off]]
+}
+
+// retired panics for a read of retired interval k.
+func (d *Display) retired(k int) {
+	panic(fmt.Sprintf("display: interval %d is retired (intervals before %d were released)", k, d.off))
+}
+
 // Luminance returns the steady-state linear luminance frame of drive frame
-// k (clamped to the pushed range) as a freshly materialized frame.
+// k (clamped to the pushed range) as a freshly materialized frame. It
+// panics when k is retired.
 func (d *Display) Luminance(k int) *frame.Frame {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -235,10 +328,10 @@ func (d *Display) Luminance(k int) *frame.Frame {
 
 // luminance is Luminance without locking; callers hold mu.
 func (d *Display) luminance(k int) *frame.Frame {
-	if len(d.drive) == 0 {
+	if d.shown() == 0 {
 		panic("display: no frames pushed")
 	}
-	dr := d.drive[d.clampFrame(k)]
+	dr := d.driveAt(k)
 	out := frame.New(d.w, d.h)
 	for i, v := range dr {
 		out.Pix[i] = d.lut[v]
@@ -247,7 +340,7 @@ func (d *Display) luminance(k int) *frame.Frame {
 }
 
 // extendState advances the response-state chain to cover every pushed frame
-// (state[k] exists for k ≤ len(drive)), so the read paths never mutate.
+// (state[k−off] exists for k ≤ NumFrames), so the read paths never mutate.
 // state[0] assumes the panel settled on frame 0 before t=0. Called from Push
 // with the write lock held.
 func (d *Display) extendState() {
@@ -256,10 +349,10 @@ func (d *Display) extendState() {
 	}
 	alpha := float32(math.Exp(-d.FrameDuration() / d.cfg.ResponseTime))
 	for len(d.state) <= len(d.drive) {
-		j := len(d.state) - 1 // completed interval
+		j := len(d.state) - 1 // completed interval, relative to off
 		prev := d.state[j]
-		target := d.drive[d.clampFrame(j)]
-		next := frame.New(d.w, d.h)
+		target := d.driveAt(d.off + j)
+		next := d.spareFrame()
 		for i := range next.Pix {
 			tg := d.lut[target[i]]
 			next.Pix[i] = tg + (prev.Pix[i]-tg)*alpha
@@ -268,16 +361,28 @@ func (d *Display) extendState() {
 	}
 }
 
+// spareFrame returns a retired state frame for reuse, or a new one. Every
+// pixel is overwritten by the caller.
+func (d *Display) spareFrame() *frame.Frame {
+	if n := len(d.spare); n > 0 {
+		f := d.spare[n-1]
+		d.spare = d.spare[:n-1]
+		return f
+	}
+	return frame.New(d.w, d.h)
+}
+
 // RowAverage computes, for every pixel of row y, the mean linear luminance
 // over the time window [t0, t1) and stores it into dst (length ≥ panel
 // width). Windows extending before 0 or past the last frame see the first /
-// last frame held steady.
+// last frame held steady. It panics when the window starts in a retired
+// interval (see Retire).
 //
 //hot:the camera synthesizes every captured row through this path
 func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if len(d.drive) == 0 {
+	if d.shown() == 0 {
 		panic("display: no frames pushed")
 	}
 	if t1 <= t0 {
@@ -296,6 +401,11 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 	if k1 <= k0 {
 		k1 = k0 + 1
 	}
+	if k := d.clampFrame(k0); k < d.off {
+		// A window starting in a retired interval is a reader error even
+		// where the strobe would skip that interval's light.
+		d.retired(k)
+	}
 	total := t1 - t0
 	if duty := d.cfg.StrobeDuty; duty > 0 && duty < 1 {
 		// Strobed backlight: light only during the final duty fraction of
@@ -309,7 +419,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 			if b <= a {
 				continue
 			}
-			target := d.drive[d.clampFrame(k)][y*w : y*w+w]
+			target := d.driveAt(k)[y*w : y*w+w]
 			wgt := float32((b-a)/total) * boost
 			for x := 0; x < w; x++ {
 				dst[x] += d.lut[target[x]] * wgt
@@ -318,17 +428,18 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		return
 	}
 	// The response-state chain is maintained at Push time, so the read path
-	// needs no mutation: state[k] exists for every k < len(drive).
+	// needs no mutation: state[k−off] exists for every live k < NumFrames.
 	useResp := d.cfg.ResponseTime > 0
 	tauR := d.cfg.ResponseTime
+	n := d.shown()
 	for k := k0; k < k1; k++ {
 		a := math.Max(t0, float64(k)*T)
 		b := math.Min(t1, float64(k+1)*T)
 		if b <= a {
 			continue
 		}
-		target := d.drive[d.clampFrame(k)][y*w : y*w+w]
-		if !useResp || k < 0 || k >= len(d.drive) {
+		target := d.driveAt(k)[y*w : y*w+w]
+		if !useResp || k < 0 || k >= n {
 			// Settled (held) frame or ideal pixels: constant luminance.
 			wgt := float32((b - a) / total)
 			for x := 0; x < w; x++ {
@@ -343,7 +454,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		eb := math.Exp(-(b - tk) / tauR)
 		cLin := float32((b - a) / total)
 		cExp := float32(tauR * (ea - eb) / total)
-		st := d.state[k].Pix[y*w : y*w+w]
+		st := d.state[k-d.off].Pix[y*w : y*w+w]
 		for x := 0; x < w; x++ {
 			tg := d.lut[target[x]]
 			dst[x] += tg*cLin + (st[x]-tg)*cExp

@@ -380,3 +380,44 @@ func TestHighFreqEnergyDiscriminates(t *testing.T) {
 		t.Fatalf("chessboard energy = %v, want >= 5", eChess)
 	}
 }
+
+// TestResamplerMatchesResampleInto: a resampler built once per size pair
+// reproduces ResampleInto bit for bit, on every call — area reduction at the
+// capture sizes the pipeline uses and at an odd, non-integer ratio, plus the
+// copy and bilinear paths it delegates.
+func TestResamplerMatchesResampleInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct{ sw, sh, dw, dh int }{
+		{960, 540, 640, 360}, {960, 540, 480, 270}, {960, 540, 320, 180},
+		{97, 61, 40, 33}, {97, 61, 97, 61}, {40, 33, 97, 61},
+	} {
+		src := New(c.sw, c.sh)
+		r := NewResampler(c.sw, c.sh, c.dw, c.dh)
+		want, got := New(c.dw, c.dh), New(c.dw, c.dh)
+		for round := 0; round < 2; round++ {
+			for i := range src.Pix {
+				src.Pix[i] = rng.Float32() * 255
+			}
+			ResampleInto(src, want)
+			r.Into(src, got)
+			for i, v := range want.Pix {
+				if math.Float32bits(got.Pix[i]) != math.Float32bits(v) {
+					t.Fatalf("%dx%d→%dx%d round %d pixel %d: %v, want %v", c.sw, c.sh, c.dw, c.dh, round, i, got.Pix[i], v)
+				}
+			}
+		}
+	}
+}
+
+func TestResamplerSizeCheck(t *testing.T) {
+	r := NewResampler(8, 8, 4, 4)
+	if !r.Fits(New(8, 8), New(4, 4)) || r.Fits(New(8, 6), New(4, 4)) || r.Fits(New(8, 8), New(4, 3)) {
+		t.Fatal("Fits does not match the built sizes")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Into with the wrong source size did not panic")
+		}
+	}()
+	r.Into(New(8, 6), New(4, 4))
+}

@@ -1,6 +1,9 @@
 package frame
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // BoxBlur returns a copy of f blurred with a (2r+1)×(2r+1) box filter.
 // Edges are handled by clamping coordinates (replicate padding). r <= 0
@@ -100,10 +103,47 @@ func ResampleInto(f, dst *Frame) {
 		return
 	}
 	if w <= f.W && h <= f.H {
-		areaResample(f, dst)
+		areaResample(f, dst, newAreaTaps(f.W, f.H, w, h))
 		return
 	}
 	bilinearResample(f, dst)
+}
+
+// Resampler is ResampleInto for one fixed source and destination size,
+// with the area-reduction taps built once instead of on every call. It is
+// immutable, so any number of goroutines may share one; output is
+// bit-identical to ResampleInto.
+type Resampler struct {
+	srcW, srcH, dstW, dstH int
+	area                   *areaTaps // nil unless the sizes select area reduction
+}
+
+// NewResampler returns a resampler from srcW×srcH frames to dstW×dstH.
+func NewResampler(srcW, srcH, dstW, dstH int) *Resampler {
+	r := &Resampler{srcW: srcW, srcH: srcH, dstW: dstW, dstH: dstH}
+	if (dstW != srcW || dstH != srcH) && dstW <= srcW && dstH <= srcH {
+		r.area = newAreaTaps(srcW, srcH, dstW, dstH)
+	}
+	return r
+}
+
+// Fits reports whether r resamples f into dst.
+func (r *Resampler) Fits(f, dst *Frame) bool {
+	return f.W == r.srcW && f.H == r.srcH && dst.W == r.dstW && dst.H == r.dstH
+}
+
+// Into resamples f into dst exactly as ResampleInto does; it panics when
+// the sizes are not the ones r was built for. dst must not alias f.
+func (r *Resampler) Into(f, dst *Frame) {
+	if !r.Fits(f, dst) {
+		panic(fmt.Sprintf("frame: Resampler %dx%d→%dx%d given %dx%d→%dx%d",
+			r.srcW, r.srcH, r.dstW, r.dstH, f.W, f.H, dst.W, dst.H))
+	}
+	if r.area != nil {
+		areaResample(f, dst, r.area)
+		return
+	}
+	ResampleInto(f, dst)
 }
 
 // axisTaps is the hoisted per-axis weight table of the area resampler: for
@@ -146,12 +186,19 @@ func buildAxisTaps(inN, outN int, scale float64) axisTaps {
 	return t
 }
 
-func areaResample(f, out *Frame) {
+// areaTaps holds both axes' taps for one (source, destination) size.
+type areaTaps struct{ x, y axisTaps }
+
+func newAreaTaps(srcW, srcH, dstW, dstH int) *areaTaps {
+	return &areaTaps{
+		x: buildAxisTaps(srcW, dstW, float64(srcW)/float64(dstW)),
+		y: buildAxisTaps(srcH, dstH, float64(srcH)/float64(dstH)),
+	}
+}
+
+func areaResample(f, out *Frame, t *areaTaps) {
 	w, h := out.W, out.H
-	sx := float64(f.W) / float64(w)
-	sy := float64(f.H) / float64(h)
-	xt := buildAxisTaps(f.W, w, sx)
-	yt := buildAxisTaps(f.H, h, sy)
+	xt, yt := &t.x, &t.y
 	for oy := 0; oy < h; oy++ {
 		ys, ye := yt.off[oy], yt.off[oy+1]
 		for ox := 0; ox < w; ox++ {

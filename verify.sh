@@ -116,9 +116,13 @@ run_kernels() {
 	# The fixed-point identity gate in isolation under the race detector:
 	# the int32 kernels' bit-identity/error-bound pins (internal/fixed),
 	# the fused pair-aware renderer's equivalence to the direct
-	# clone+add+clamp formulation at several worker counts, and the
+	# clone+add+clamp formulation at several worker counts, the
 	# repeat path's equivalence to Frame + Push plus its negative cases
-	# (DESIGN.md §5j).
+	# (DESIGN.md §5j), the bounded drive history — a retiring display and
+	# channel.Simulate bit-identical to a full history at several worker
+	# counts, links and display models, with the held frames bounded
+	# (DESIGN.md §5e) — and the cached resampling taps' identity to
+	# ResampleInto.
 	go test -race -count=1 \
 		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
@@ -126,8 +130,14 @@ run_kernels() {
 		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushToMatchesFramePush|TestPushFrame' \
 		./internal/core/
 	go test -race -count=1 \
-		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck' \
+		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesResampleInto' \
 		./internal/frame/
+	go test -race -count=1 \
+		-run 'TestRetire|TestRepeat|TestWarmPushAfterRetireAllocates' \
+		./internal/display/
+	go test -race -count=1 \
+		-run 'TestSimulateMatchesFullHistory|TestSimulateHeldFramesBounded|TestSimulateTooShort' \
+		./internal/channel/
 }
 
 run_robustness() {
