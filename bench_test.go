@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"inframe/internal/benchcmp"
-	"inframe/internal/camera"
 	"inframe/internal/channel"
 	"inframe/internal/core"
 	"inframe/internal/display"
@@ -145,26 +144,47 @@ func BenchmarkMultiplexFrame(b *testing.B) {
 }
 
 // BenchmarkCameraCapture measures one rolling-shutter capture of a 960×540
-// display at 640×360.
+// display showing a rendered Gray frame, at each of the three sensor sizes
+// of the default fleet population (640×360, 480×270, 320×180: the 1.5×,
+// 2× and 3× area reductions) — the benchcmp CameraCapture rows.
 func BenchmarkCameraCapture(b *testing.B) {
-	dcfg := display.DefaultConfig()
-	dcfg.ResponseTime = 0
-	d, err := display.New(dcfg)
-	if err != nil {
-		b.Fatal(err)
+	for _, sz := range benchcmp.CaptureSizes(2) {
+		b.Run(fmt.Sprintf("%dx%d", sz[0], sz[1]), func(b *testing.B) {
+			cam, d, pool, err := benchcmp.CaptureBench(2, sz[0], sz[1])
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.Put(cam.Capture(d, 0.001, i))
+			}
+		})
 	}
-	for k := 0; k < 8; k++ {
-		if err := d.Push(frame.NewFilled(960, 540, 127)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cam, err := camera.New(camera.DefaultConfig(640, 360))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cam.Capture(d, 0.01, i)
+}
+
+// BenchmarkPushTo measures PushTo of 4·τ display frames onto a fresh
+// display, on static gray and on moving sun-rise video — the benchcmp
+// PushTo rows. Each rendered frame is swept straight into drive storage.
+func BenchmarkPushTo(b *testing.B) {
+	for _, c := range benchcmp.EndToEndContents {
+		b.Run(c.Name, func(b *testing.B) {
+			m, dcfg, n, err := benchcmp.PushToBench(2, c.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d, err := display.New(dcfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.PushTo(d, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

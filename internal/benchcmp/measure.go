@@ -5,8 +5,10 @@ import (
 	"runtime"
 	"testing"
 
+	"inframe/internal/camera"
 	"inframe/internal/channel"
 	"inframe/internal/core"
+	"inframe/internal/display"
 	"inframe/internal/fleet"
 	"inframe/internal/frame"
 	"inframe/internal/video"
@@ -32,11 +34,13 @@ func FleetConfig(scale, w int) (fleet.Config, error) {
 	return cfg, nil
 }
 
-// Content is one EndToEnd video source: Infix names its rows
-// ("EndToEnd/" + Infix + "workers=N"; empty for the original gray rows),
-// Source builds the clip at the panel size.
+// Content is one video source of the EndToEnd and PushTo rows: Infix
+// names its EndToEnd rows ("EndToEnd/" + Infix + "workers=N"; empty for the
+// original gray rows), Name its PushTo row ("PushTo/" + Name), and Source
+// builds the clip at the panel size.
 type Content struct {
 	Infix  string
+	Name   string
 	Source func(w, h int) video.Source
 }
 
@@ -45,8 +49,63 @@ type Content struct {
 // most of the work, and moving sun-rise video, where they cannot.
 // BenchmarkEndToEnd measures the same two.
 var EndToEndContents = []Content{
-	{Infix: "", Source: func(w, h int) video.Source { return video.Gray(w, h) }},
-	{Infix: "sunrise/", Source: func(w, h int) video.Source { return video.NewSunRise(w, h, 1) }},
+	{Infix: "", Name: "gray", Source: func(w, h int) video.Source { return video.Gray(w, h) }},
+	{Infix: "sunrise/", Name: "sunrise", Source: func(w, h int) video.Source { return video.NewSunRise(w, h, 1) }},
+}
+
+// CaptureSizes returns the sensor sizes of the CameraCapture rows at
+// scale: the scaled capture size and its ¾ and ½, the three sensors of
+// fleet.DefaultPopulation. On the scale-2 panel (960×540) they are the
+// 1.5×, 2× and 3× area reductions 640×360, 480×270 and 320×180.
+func CaptureSizes(scale int) [][2]int {
+	w, h := 1280/scale, 720/scale
+	return [][2]int{{w, h}, {3 * w / 4, 3 * h / 4}, {w / 2, h / 2}}
+}
+
+// CaptureBench builds a CameraCapture row: the scaled panel showing the
+// first rendered frame of the gray PushTo row, and a default w×h camera at
+// Workers 1 and BlurRadius 0 drawing from its own pool, so one op is the
+// rolling-shutter synthesis, area reduction, encode, noise and
+// quantization of a capture. BenchmarkCameraCapture measures the same.
+func CaptureBench(scale, w, h int) (*camera.Camera, *display.Display, *frame.Pool, error) {
+	m, dcfg, _, err := PushToBench(scale, EndToEndContents[0].Source)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	d, err := display.New(dcfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := m.PushTo(d, 1); err != nil {
+		return nil, nil, nil, err
+	}
+	pool := frame.NewPool()
+	cfg := channel.DefaultConfig(w, h).Camera
+	cfg.Workers = 1
+	cfg.BlurRadius = 0
+	cfg.Pool = pool
+	cam, err := camera.New(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return cam, d, pool, nil
+}
+
+// PushToBench builds a PushTo row on content src: a Workers-1 multiplexer
+// on the scaled panel, the display config each op pushes a fresh display
+// of, and the 4·τ frames one op pushes. BenchmarkPushTo measures the same.
+func PushToBench(scale int, src func(w, h int) video.Source) (*core.Multiplexer, display.Config, int, error) {
+	l, err := core.ScaledPaperLayout(scale)
+	if err != nil {
+		return nil, display.Config{}, 0, err
+	}
+	p := core.DefaultParams(l)
+	p.Workers = 1
+	m, err := core.NewMultiplexer(p, src(l.FrameW, l.FrameH), core.NewRandomStream(l, 1))
+	if err != nil {
+		return nil, display.Config{}, 0, err
+	}
+	return m, channel.DefaultConfig(1280/scale, 720/scale).Display, 4 * p.Tau, nil
 }
 
 // pipeline builds the scaled paper pipeline on content src with every
@@ -156,9 +215,11 @@ func Calibrate() int64 {
 }
 
 // Measure benchmarks EndToEnd (render + channel + decode, on every
-// EndToEndContents source) and DecodeCaptures (receive side only) at
+// EndToEndContents source), DecodeCaptures (receive side only) and Fleet at
 // workers=1 and, when the machine has more than one core,
-// workers=GOMAXPROCS, and returns the results as a fresh baseline.
+// workers=GOMAXPROCS, plus the single-worker per-stage rows CameraCapture
+// (one capture per CaptureSizes sensor) and PushTo (4·τ frames per
+// content), and returns the results as a fresh baseline.
 // Every entry is the best of measureRepeats samples, so committed baselines
 // and benchdiff's fresh runs estimate the same (noise-free) quantity, and
 // the calibration kernel is timed alongside so Compare can normalize away
@@ -199,13 +260,7 @@ func Measure(scale int) (*Baseline, error) {
 			if benchErr != nil {
 				return nil, benchErr
 			}
-			base.Benchmarks = append(base.Benchmarks, Entry{
-				Name:        fmt.Sprintf("EndToEnd/%sworkers=%d", c.Infix, w),
-				Iterations:  r.N,
-				NsPerOp:     r.NsPerOp(),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-			})
+			base.Benchmarks = append(base.Benchmarks, entry(fmt.Sprintf("EndToEnd/%sworkers=%d", c.Infix, w), r))
 		}
 	}
 	// Decode-only: one captured sequence (full pool), then time the decode
@@ -230,18 +285,51 @@ func Measure(scale int) (*Baseline, error) {
 				rcv.DecodeCaptures(res.Captures, res.Times, res.Exposure, nDisplay/rcv.Config().Tau)
 			}
 		})
-		base.Benchmarks = append(base.Benchmarks, Entry{
-			Name:        fmt.Sprintf("DecodeCaptures/workers=%d", w),
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
+		base.Benchmarks = append(base.Benchmarks, entry(fmt.Sprintf("DecodeCaptures/workers=%d", w), r))
 	}
-	// Drop the captured sequence before the Fleet stage so tens of MB of
-	// capture frames don't distort its GC pacing.
+	// Drop the captured sequence before the per-stage rows and the Fleet
+	// stage so tens of MB of capture frames don't distort their GC pacing.
 	res = nil
 	_ = res
+	// Per-stage rows: one capture per sensor size, and one 4·τ PushTo per
+	// content, each on one worker.
+	for _, sz := range CaptureSizes(scale) {
+		cam, d, pool, err := CaptureBench(scale, sz[0], sz[1])
+		if err != nil {
+			return nil, err
+		}
+		r := measureBest(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pool.Put(cam.Capture(d, 0.001, i))
+			}
+		})
+		base.Benchmarks = append(base.Benchmarks, entry(fmt.Sprintf("CameraCapture/%dx%d", sz[0], sz[1]), r))
+	}
+	for _, c := range EndToEndContents {
+		m, dcfg, n, err := PushToBench(scale, c.Source)
+		if err != nil {
+			return nil, err
+		}
+		var benchErr error
+		r := measureBest(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := display.New(dcfg)
+				if err == nil {
+					err = m.PushTo(d, n)
+				}
+				if err != nil {
+					benchErr = err
+					b.FailNow()
+				}
+			}
+		})
+		if benchErr != nil {
+			return nil, benchErr
+		}
+		base.Benchmarks = append(base.Benchmarks, entry("PushTo/"+c.Name, r))
+	}
 	// Fleet: render once, decode a FleetReceivers-member population — the
 	// receivers/sec scaling headline.
 	for _, w := range counts {
@@ -262,13 +350,18 @@ func Measure(scale int) (*Baseline, error) {
 		if benchErr != nil {
 			return nil, benchErr
 		}
-		base.Benchmarks = append(base.Benchmarks, Entry{
-			Name:        fmt.Sprintf("Fleet/workers=%d", w),
-			Iterations:  r.N,
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
+		base.Benchmarks = append(base.Benchmarks, entry(fmt.Sprintf("Fleet/workers=%d", w), r))
 	}
 	return base, nil
+}
+
+// entry records one benchmark result under name.
+func entry(name string, r testing.BenchmarkResult) Entry {
+	return Entry{
+		Name:        name,
+		Iterations:  r.N,
+		NsPerOp:     r.NsPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+	}
 }

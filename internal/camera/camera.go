@@ -55,7 +55,9 @@ type Config struct {
 	// sensor frames (zoom/offset). All zero means the camera frames the
 	// whole display. The window is resampled onto the full sensor; parts
 	// of the window outside the display see black (overscan: the camera
-	// films the monitor plus the dark room behind it).
+	// films the monitor plus the dark room behind it). The rolling shutter
+	// follows the window: display row y exposes as sensor row
+	// (y−CropY0)·H/CropH, clamped to [0, H).
 	CropX0, CropY0, CropW, CropH int
 	// Workers bounds the row-synthesis fan-out of Capture: the
 	// rolling-shutter rows of one capture spread across this many
@@ -194,9 +196,15 @@ func (c *Camera) CaptureWith(d *display.Display, t0 float64, index, rowWorkers i
 	if c.cfg.H > 1 {
 		rowDt = c.cfg.ReadoutTime / float64(c.cfg.H)
 	}
+	// Display row y exposes with the sensor row it lands on: the whole
+	// panel spans the sensor uncropped, the crop window does cropped.
+	y0, span := 0, dh
+	if c.cfg.cropped() {
+		y0, span = c.cfg.CropY0, c.cfg.CropH
+	}
 	parallel.ForChunked(rowWorkers, dh, func(lo, hi int) {
 		for y := lo; y < hi; y++ {
-			sensorRow := y * c.cfg.H / dh
+			sensorRow := min(max((y-y0)*c.cfg.H/span, 0), c.cfg.H-1)
 			a := t0 + float64(sensorRow)*rowDt
 			d.RowAverage(y, a, a+c.cfg.Exposure, lin.Row(y))
 		}

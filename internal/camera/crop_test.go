@@ -100,3 +100,76 @@ func TestCropFramesWindow(t *testing.T) {
 		t.Fatalf("full capture mean %.1f, want ~50", m)
 	}
 }
+
+// TestCropRollingShutterFollowsWindow: a display that switches frames
+// mid-readout lands the switch on the sensor row the timing says, whatever
+// the crop window. Display row y exposes as sensor row (y−CropY0)·H/CropH,
+// so sensor row s sees the new frame exactly when s reaches the switch row
+// — for an overscan window and for a zoomed one offset off-center, where
+// mapping y by the panel height instead would land it 4 sensor rows off.
+func TestCropRollingShutterFollowsWindow(t *testing.T) {
+	dcfg := display.DefaultConfig()
+	dcfg.ResponseTime = 0
+	dcfg.Gamma = 1
+	const dark, bright = 40, 200
+	for _, c := range []struct {
+		name       string
+		x0, y0     int // crop origin
+		cw, ch     int // crop size
+		w, h       int // sensor size
+		switchRow  int
+		firstInRow int // first sensor row wholly on the display
+		lastInRow  int // last sensor row wholly on the display
+	}{
+		{"overscan", -32, -32, 128, 128, 64, 64, 24, 16, 47},
+		{"zoom", 0, 8, 64, 32, 32, 16, 8, 0, 15},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := display.New(dcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []float32{dark, bright} {
+				if err := d.Push(frame.NewFilled(64, 64, v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := DefaultConfig(c.w, c.h)
+			cfg.NoiseSigma = 0
+			cfg.BlurRadius = 0
+			cfg.Gamma = 1
+			cfg.Exposure = 1e-5
+			cfg.CropX0, cfg.CropY0, cfg.CropW, cfg.CropH = c.x0, c.y0, c.cw, c.ch
+			cam, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Sensor row s starts exposing half a row period after the
+			// switch when s = switchRow and ends before it when s is one
+			// less.
+			rowDt := cfg.ReadoutTime / float64(c.h)
+			t0 := d.FrameDuration() - (float64(c.switchRow)-0.5)*rowDt
+			capt := cam.Capture(d, t0, 0)
+			for s := c.firstInRow; s <= c.lastInRow; s++ {
+				want := float64(dark)
+				if s >= c.switchRow {
+					want = bright
+				}
+				var sum float64
+				for x := 0; x < c.w; x++ {
+					if c.x0 < 0 && (x < c.w/4 || x >= 3*c.w/4) {
+						continue // overscan columns: black
+					}
+					sum += float64(capt.At(x, s))
+				}
+				n := float64(c.w)
+				if c.x0 < 0 {
+					n = float64(c.w / 2)
+				}
+				if m := sum / n; math.Abs(m-want) > 1 {
+					t.Fatalf("sensor row %d reads %.1f, want %v (switch at row %d)", s, m, want, c.switchRow)
+				}
+			}
+		})
+	}
+}

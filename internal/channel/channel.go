@@ -300,8 +300,9 @@ func Simulate(m *core.Multiplexer, nDisplayFrames int, cfg Config) (*Result, err
 	}
 	peak := 0
 	for k := 0; k < nDisplayFrames; k++ {
-		// PushFrame recycles every frame it renders and appends certified
-		// repeats by reference (core.Multiplexer.PushFrame).
+		// PushFrame sweeps each rendered frame straight into drive storage
+		// and appends certified repeats by reference
+		// (core.Multiplexer.PushFrame).
 		if err := m.PushFrame(d, k); err != nil {
 			s.pool.Wait()
 			return nil, fmt.Errorf("channel: frame %d: %w", k, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"inframe/internal/display"
+	"inframe/internal/fixed"
 	"inframe/internal/frame"
 	"inframe/internal/parallel"
 	"inframe/internal/video"
@@ -31,13 +32,14 @@ type Params struct {
 	// goroutines. 0 means GOMAXPROCS; 1 forces the sequential path. Output
 	// is bit-identical at any worker count (see internal/parallel).
 	Workers int
-	// Pool supplies and recycles the rendered frame buffers. Frame Gets
-	// every output frame from it, and Recycle (called by PushTo and the
-	// channel simulator once a frame is on the display) Puts it back, so a
-	// steady-state render loop reuses the same buffers forever. Nil means
-	// a private pool: the public API is unchanged and callers that keep
-	// every rendered frame (Render) simply never recycle. Share one pool
-	// across mux, camera and receiver to share buffers end to end.
+	// Pool supplies the render's frame buffers: the video buffer and delta
+	// plane, and every output frame of Frame, which Recycle Puts back, so
+	// a steady-state Frame + Push loop reuses the same buffers forever.
+	// PushFrame (and so PushTo and the channel simulator) renders straight
+	// into the display's drive storage and takes no output frame. Nil
+	// means a private pool: callers that keep every rendered frame
+	// (Render) simply never recycle. Share one pool across mux, camera and
+	// receiver to share buffers end to end.
 	Pool *frame.Pool
 }
 
@@ -278,51 +280,68 @@ func (m *Multiplexer) refreshVideo(k int) {
 	if m.headroom == nil {
 		m.headroom = make([]float32, l.NumBlocks())
 	}
-	ps := l.PixelSize
 	m.ensureScratch()
 	// Each Block row writes a disjoint headroom span, so the fan-out is an
-	// ordered merge: bit-identical at any worker count.
-	parallel.For(m.p.Workers, l.BlocksY, func(by int) {
-		var scanned, skipped int64
-		for bx := 0; bx < l.BlocksX; bx++ {
-			x0, y0, w, h := l.BlockRect(bx, by)
-			if dirtyOK && !dirty.Intersects(x0, y0, w, h) {
-				// Every certified transition left this Block's pixels
-				// unchanged, so its headroom (computed from exactly those
-				// pixels) is still valid.
-				skipped++
-				continue
-			}
-			scanned++
-			head := float32(255)
-			for y := y0; y < y0+h; y++ {
-				pj := y / ps
-				rowBase := y * l.FrameW
-				for x := x0; x < x0+w; x++ {
-					if !ChessOn(x/ps, pj) {
-						continue
-					}
-					v := m.vframe.Pix[rowBase+x]
-					if hi := 255 - v; hi < head {
-						head = hi
-					}
-					if v < head {
-						head = v
-					}
-				}
-			}
-			if head < 0 {
-				head = 0
-			}
-			m.headroom[by*l.BlocksX+bx] = head
+	// ordered merge: bit-identical at any worker count. One worker runs
+	// the rows inline, with no fan-out closure to allocate.
+	if parallel.Resolve(m.p.Workers) <= 1 {
+		for by := range m.rowBlocks {
+			m.rowBlocks[by], m.rowSkips[by] = m.headroomRow(by, dirty, dirtyOK)
 		}
-		m.rowBlocks[by] = scanned
-		m.rowSkips[by] = skipped
-	})
+	} else {
+		// Fresh copies the closure captures by value: capturing the
+		// reassigned dirty and dirtyOK would move them to the heap on
+		// every refresh, inline path included.
+		region, certified := dirty, dirtyOK
+		parallel.For(m.p.Workers, l.BlocksY, func(by int) {
+			m.rowBlocks[by], m.rowSkips[by] = m.headroomRow(by, region, certified)
+		})
+	}
 	for by := 0; by < l.BlocksY; by++ {
 		m.stats.HeadroomBlocks += m.rowBlocks[by]
 		m.stats.HeadroomSkipped += m.rowSkips[by]
 	}
+}
+
+// headroomRow rescans the clipping headroom of Block row by, skipping the
+// Blocks a certified dirty region proves unchanged; it returns the row's
+// scanned and skipped Block counts.
+func (m *Multiplexer) headroomRow(by int, dirty video.Region, dirtyOK bool) (scanned, skipped int64) {
+	l := m.p.Layout
+	ps := l.PixelSize
+	for bx := 0; bx < l.BlocksX; bx++ {
+		x0, y0, w, h := l.BlockRect(bx, by)
+		if dirtyOK && !dirty.Intersects(x0, y0, w, h) {
+			// Every certified transition left this Block's pixels
+			// unchanged, so its headroom (computed from exactly those
+			// pixels) is still valid.
+			skipped++
+			continue
+		}
+		scanned++
+		head := float32(255)
+		for y := y0; y < y0+h; y++ {
+			pj := y / ps
+			rowBase := y * l.FrameW
+			for x := x0; x < x0+w; x++ {
+				if !ChessOn(x/ps, pj) {
+					continue
+				}
+				v := m.vframe.Pix[rowBase+x]
+				if hi := 255 - v; hi < head {
+					head = hi
+				}
+				if v < head {
+					head = v
+				}
+			}
+		}
+		if head < 0 {
+			head = 0
+		}
+		m.headroom[by*l.BlocksX+bx] = head
+	}
+	return scanned, skipped
 }
 
 // ensureScratch sizes the per-Block-row counter scratch and the delta-cache
@@ -354,41 +373,52 @@ func (m *Multiplexer) ensureScratch() {
 // Shared by the grayscale and color multiplexers: headroom is whatever
 // channel-aware bound the caller computed.
 func renderDelta(p Params, cur, next *DataFrame, k int, headroom, deltaAmp []float32, delta *frame.Frame, rowBlocks, rowSkips []int64) {
+	if parallel.Resolve(p.Workers) <= 1 {
+		// Inline rows: no fan-out closure to allocate per frame.
+		for by := range rowBlocks {
+			rowBlocks[by], rowSkips[by] = renderDeltaRow(p, cur, next, k, by, headroom, deltaAmp, delta)
+		}
+		return
+	}
+	parallel.For(p.Workers, p.Layout.BlocksY, func(by int) {
+		rowBlocks[by], rowSkips[by] = renderDeltaRow(p, cur, next, k, by, headroom, deltaAmp, delta)
+	})
+}
+
+// renderDeltaRow is renderDelta for Block row by; it returns the row's
+// evaluated and skipped Block counts.
+func renderDeltaRow(p Params, cur, next *DataFrame, k, by int, headroom, deltaAmp []float32, delta *frame.Frame) (total, skipped int64) {
 	l := p.Layout
 	ps := l.PixelSize
-	parallel.For(p.Workers, l.BlocksY, func(by int) {
-		var total, skipped int64
-		for bx := 0; bx < l.BlocksX; bx++ {
-			total++
-			a := envelopeBetween(p, cur, next, bx, by, k)
-			if head := float64(headroom[by*l.BlocksX+bx]); a > head {
-				a = head
-			}
-			if a < 0 {
-				a = 0
-			}
-			want := float32(a)
-			b := by*l.BlocksX + bx
-			//lint:ignore floateq cache key: both sides are the same clipped envelope computation, equal means the stored pixels are exactly right
-			if want == deltaAmp[b] {
-				skipped++
-				continue
-			}
-			deltaAmp[b] = want
-			x0, y0, w, h := l.BlockRect(bx, by)
-			for y := y0; y < y0+h; y++ {
-				pj := y / ps
-				rowBase := y * l.FrameW
-				for x := x0; x < x0+w; x++ {
-					if ChessOn(x/ps, pj) {
-						delta.Pix[rowBase+x] = want
-					}
+	for bx := 0; bx < l.BlocksX; bx++ {
+		total++
+		a := envelopeBetween(p, cur, next, bx, by, k)
+		if head := float64(headroom[by*l.BlocksX+bx]); a > head {
+			a = head
+		}
+		if a < 0 {
+			a = 0
+		}
+		want := float32(a)
+		b := by*l.BlocksX + bx
+		//lint:ignore floateq cache key: both sides are the same clipped envelope computation, equal means the stored pixels are exactly right
+		if want == deltaAmp[b] {
+			skipped++
+			continue
+		}
+		deltaAmp[b] = want
+		x0, y0, w, h := l.BlockRect(bx, by)
+		for y := y0; y < y0+h; y++ {
+			pj := y / ps
+			rowBase := y * l.FrameW
+			for x := x0; x < x0+w; x++ {
+				if ChessOn(x/ps, pj) {
+					delta.Pix[rowBase+x] = want
 				}
 			}
 		}
-		rowBlocks[by] = total
-		rowSkips[by] = skipped
-	})
+	}
+	return total, skipped
 }
 
 // refresh advances the per-frame render state to display frame k: the video
@@ -432,10 +462,7 @@ func (m *Multiplexer) refresh(k int) {
 // Pixel rows are disjoint, so the fan-out is an ordered merge.
 func (m *Multiplexer) sweep(k int) *frame.Frame {
 	l := m.p.Layout
-	sign := float32(1)
-	if k%2 == 1 {
-		sign = -1
-	}
+	sign := frameSign(k)
 	out := m.pool.Get(l.FrameW, l.FrameH)
 	vp, dp, op := m.vframe.Pix, m.delta.Pix, out.Pix
 	w := l.FrameW
@@ -473,11 +500,49 @@ func (m *Multiplexer) Frame(k int) *frame.Frame {
 	return m.sweep(k)
 }
 
+// frameSign is the sign of display frame k's chessboard: + on even
+// frames, − on odd, so each complementary pair fuses back to the video.
+func frameSign(k int) float32 {
+	if k%2 == 1 {
+		return -1
+	}
+	return 1
+}
+
+// sweepDrive is sweep written straight into 8-bit drive storage: dst[i] =
+// Round8(V + sign·D), the byte display.Push stores for sweep's pixel
+// clamp(V + sign·D). Round8 saturates to [0,255] (and sends NaN to 0, as
+// the clamp leaves NaN for Push's Round8 to do), so the clamp is implied.
+// On one worker the rows run inline, without a fan-out closure.
+func (m *Multiplexer) sweepDrive(k int, dst []uint8) {
+	l := m.p.Layout
+	sign := frameSign(k)
+	vp, dp := m.vframe.Pix, m.delta.Pix
+	if parallel.Resolve(m.p.Workers) <= 1 {
+		driveRows(dst, vp, dp, sign)
+		return
+	}
+	w := l.FrameW
+	parallel.ForChunked(m.p.Workers, l.FrameH, func(lo, hi int) {
+		driveRows(dst[lo*w:hi*w], vp[lo*w:hi*w], dp[lo*w:hi*w], sign)
+	})
+}
+
+// driveRows quantizes V + sign·D into dst over one span of pixels.
+func driveRows(dst []uint8, vp, dp []float32, sign float32) {
+	vp, dp = vp[:len(dst)], dp[:len(dst)]
+	for i := range dst {
+		dst[i] = fixed.Round8(vp[i] + sign*dp[i])
+	}
+}
+
 // PushFrame appends display frame k to d. When the repeat rule certifies
 // that frame k equals frame k−2 byte for byte, the display re-appends frame
-// k−2's drive storage by reference (display.Repeat) and the sweep, the
-// quantization and the drive copy are skipped; otherwise the frame is
-// rendered, pushed and recycled exactly as Frame + Push + Recycle.
+// k−2's drive storage by reference (display.Repeat) and the sweep is
+// skipped; otherwise the sweep runs straight into a drive slot the display
+// reserves (sweepDrive), which it then commits. Either way the display
+// history is exactly what Frame + Push + Recycle would leave, and no float
+// frame is rendered.
 //
 // The rule needs no pixel comparison. The sweep's inputs are the video
 // frame, the delta plane and the sign, and the sign of k equals that of
@@ -494,11 +559,11 @@ func (m *Multiplexer) PushFrame(d *display.Display, k int) error {
 	if m.repeatable(d, k) {
 		err = d.Repeat(2)
 	} else {
-		f := m.sweep(k)
-		err = d.Push(f)
-		// The display has copied the frame into its drive history (or
-		// rejected it): either way nothing holds the buffer any more.
-		m.Recycle(f)
+		var s display.Slot
+		if s, err = d.Reserve(m.p.Layout.FrameW, m.p.Layout.FrameH); err == nil {
+			m.sweepDrive(k, s.Pix)
+			err = d.Commit(s)
+		}
 	}
 	if err != nil {
 		return err
@@ -520,8 +585,8 @@ func (m *Multiplexer) repeatable(d *display.Display, k int) bool {
 
 // Recycle returns a frame obtained from Frame to the multiplexer's pool
 // for reuse by a later render. Call it once the frame's contents have been
-// consumed (e.g. pushed onto a display, which copies them into its drive
-// history); the frame must not be used afterwards.
+// consumed (e.g. pushed onto a display, which quantizes them into its
+// drive history); the frame must not be used afterwards.
 func (m *Multiplexer) Recycle(f *frame.Frame) { m.pool.Put(f) }
 
 // Render produces display frames [0, n) in order. The caller owns every
@@ -536,9 +601,9 @@ func (m *Multiplexer) Render(n int) []*frame.Frame {
 }
 
 // PushTo pushes display frames [0, n) straight onto a display simulator
-// through PushFrame: rendered frames are recycled once the display has
-// copied them, so the steady-state loop reuses one buffer for the whole
-// run, and certified repeats are appended by reference without a render.
+// through PushFrame: each rendered frame is swept straight into the
+// display's drive storage, and certified repeats are appended by reference
+// without a sweep.
 func (m *Multiplexer) PushTo(d *display.Display, n int) error {
 	for k := 0; k < n; k++ {
 		if err := m.PushFrame(d, k); err != nil {

@@ -252,3 +252,55 @@ func TestPushFrameTwoDisplaysRenderFull(t *testing.T) {
 		}
 	}
 }
+
+// TestPushFrameWarmAllocates: once the data frames are cached and the
+// display recycles retired storage, PushFrame on one worker allocates
+// nothing — rendered frames, certified repeats and video loads alike. The
+// sweep writes the display's reserved slot directly, and the render's
+// fan-outs run inline without a closure.
+func TestPushFrameWarmAllocates(t *testing.T) {
+	l := smallLayout()
+	w, h := l.FrameW, l.FrameH
+	sources := map[string]func() video.Source{
+		"gray":    func() video.Source { return video.Gray(w, h) },
+		"ticker":  func() video.Source { return video.NewTicker(w, h, 3, 2) },
+		"sunrise": func() video.Source { return video.NewSunRise(w, h, 3) },
+	}
+	const warm, runs = 48, 96
+	for name, src := range sources {
+		for _, dname := range []string{"ideal", "response"} {
+			t.Run(name+"/"+dname, func(t *testing.T) {
+				p := DefaultParams(l)
+				p.Workers = 1
+				stream := NewRandomStream(l, 1)
+				for i := 0; i <= (warm+2*runs)/p.Tau+1; i++ {
+					stream.DataFrame(i)
+				}
+				m := newMux(t, p, src(), stream)
+				d := newDisplay(t, repeatDisplayConfigs()[dname])
+				T := d.FrameDuration()
+				k := 0
+				step := func() {
+					if err := m.PushFrame(d, k); err != nil {
+						t.Fatal(err)
+					}
+					d.Retire(float64(k-2) * T)
+					k++
+				}
+				for k < warm {
+					step()
+				}
+				// One measured batch of runs frames: AllocsPerRun truncates
+				// its per-run mean, which would hide an allocation made on
+				// only the rendered (not the repeated) frames.
+				if n := testing.AllocsPerRun(1, func() {
+					for range runs {
+						step()
+					}
+				}); n != 0 {
+					t.Fatalf("warm PushFrame allocates %v times in %d frames, want 0", n, runs)
+				}
+			})
+		}
+	}
+}

@@ -161,10 +161,7 @@ func (m *RGBMultiplexer) DeltaFrame(k int) *frame.Frame {
 	m.refreshDelta(k)
 	l := m.p.Layout
 	out := m.pool.Get(l.FrameW, l.FrameH)
-	sign := float32(1)
-	if k%2 == 1 {
-		sign = -1
-	}
+	sign := frameSign(k)
 	ps := l.PixelSize
 	parallel.For(m.p.Workers, l.BlocksY, func(by int) {
 		for bx := 0; bx < l.BlocksX; bx++ {
@@ -198,10 +195,7 @@ func (m *RGBMultiplexer) Recycle(f *frame.Frame) { m.pool.Put(f) }
 // owns the returned frame.
 func (m *RGBMultiplexer) FrameRGB(k int) (*frame.RGB, error) {
 	m.refreshDelta(k)
-	sign := float32(1)
-	if k%2 == 1 {
-		sign = -1
-	}
+	sign := frameSign(k)
 	l := m.p.Layout
 	out := frame.NewRGB(l.FrameW, l.FrameH)
 	if err := out.AddLumaDeltaOf(m.vframe, m.delta, sign); err != nil {
@@ -217,9 +211,6 @@ func (m *RGBMultiplexer) FrameRGB(k int) (*frame.RGB, error) {
 // the collector) is never materialized.
 func (m *RGBMultiplexer) LumaFrame(k int) (*frame.Frame, error) {
 	m.refreshDelta(k)
-	sign := float32(1)
-	if k%2 == 1 {
-		sign = -1
-	}
+	sign := frameSign(k)
 	return m.vframe.LumaShifted(m.delta, sign)
 }

@@ -20,10 +20,13 @@
 //
 // Drive frames are stored as bytes (the cable carries 8-bit values) and
 // mapped to luminance through a 256-entry lookup table, avoiding per-pixel
-// pow() in the hot path. Drive frames are read-only once appended, so an
-// interval that shows an earlier frame again (Repeat) shares that frame's
-// storage: NumFrames counts the intervals shown, StoredFrames the distinct
-// frames ever pushed, HeldFrames the distinct frames stored right now.
+// pow() in the hot path. A renderer that computes drive bytes itself
+// writes them straight into drive storage: Reserve hands out a slot,
+// Commit shows it, and Push is that pair around a quantization pass.
+// Drive frames are read-only once appended, so an interval that shows an
+// earlier frame again (Repeat) shares that frame's storage: NumFrames
+// counts the intervals shown, StoredFrames the distinct frames ever
+// pushed, HeldFrames the distinct frames stored right now.
 //
 // A display keeps its whole history unless its owner retires the intervals
 // no reader will ask for again (Retire): their storage is recycled for later
@@ -92,15 +95,17 @@ func (c Config) Validate() error {
 // Brightness 1.0) so it composes naturally with 8-bit pixel arithmetic.
 //
 // A Display is safe for concurrent use by one pusher and any number of
-// readers: Push, Repeat and Retire take the write lock, every light-field
-// query takes the read lock. That is exactly the shape of the pipelined
+// readers: Reserve, Commit, Repeat and Retire take the write lock, every
+// light-field query takes the read lock, and a reserved slot is filled
+// under neither. That is exactly the shape of the pipelined
 // channel simulator, where capture workers integrate frames the renderer has
 // already pushed while it keeps pushing new ones.
 type Display struct {
 	cfg  Config
 	w, h int
 
-	// mu orders Push (writer) against the light-field readers.
+	// mu orders the writers (Reserve, Commit, Repeat, Retire) against the
+	// light-field readers.
 	mu sync.RWMutex
 	// off is the number of retired intervals: drive[k−off] is the storage
 	// slot of interval k, for every interval not yet retired.
@@ -108,16 +113,17 @@ type Display struct {
 	drive []int
 	// slots are the drive frames' storage, one quantized 8-bit frame each.
 	// refs[s] counts the live intervals showing slot s (Repeat points
-	// several intervals at one slot); a slot whose count drops to zero goes
-	// onto free, and Push reuses free slots before it carves new storage.
+	// several intervals at one slot), or is reserved while a Slot holds it;
+	// a slot whose count drops to zero goes onto free, and Reserve reuses
+	// free slots before it carves new storage.
 	slots [][]uint8
 	refs  []int
 	free  []int
-	// stored counts the drive frames Push copied in; the remaining
+	// stored counts the drive frames committed; the remaining
 	// NumFrames − stored intervals are Repeat references.
 	stored int
-	// arena backs new slots in multi-frame chunks, so a Push that finds no
-	// free slot costs an amortized slice carve instead of a per-frame
+	// arena backs new slots in multi-frame chunks, so a Reserve that finds
+	// no free slot costs an amortized slice carve instead of a per-frame
 	// allocation. Chunks double from one frame up to 16: a retiring
 	// display that holds a handful of frames carves no more than it
 	// needs, a full-history one allocates once per 16 frames.
@@ -126,8 +132,8 @@ type Display struct {
 	lut [256]float32
 	// state[k−off] is the actual luminance at the *start* of interval k
 	// when ResponseTime > 0, accounting for the exponential response;
-	// extended eagerly at Push so readers never mutate. Retired state
-	// frames wait on spare for reuse.
+	// extended eagerly at Commit and Repeat so readers never mutate.
+	// Retired state frames wait on spare for reuse.
 	state []*frame.Frame
 	spare []*frame.Frame
 }
@@ -185,7 +191,7 @@ func (d *Display) Duration() float64 {
 	return float64(d.shown()) / d.cfg.RefreshHz
 }
 
-// Size returns the panel resolution (0,0 before the first Push).
+// Size returns the panel resolution (0,0 before the first Push or Reserve).
 func (d *Display) Size() (int, int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -194,21 +200,60 @@ func (d *Display) Size() (int, int) {
 
 // Push appends one drive frame for the next refresh interval. Drive values
 // are clamped to [0,255] and quantized (the cable carries 8-bit values).
+// It is Reserve, the quantization into the slot, and Commit.
 func (d *Display) Push(f *frame.Frame) error {
+	s, err := d.Reserve(f.W, f.H)
+	if err != nil {
+		return err
+	}
+	for i, v := range f.Pix {
+		s.Pix[i] = frame.Quant8(v)
+	}
+	return d.Commit(s)
+}
+
+// Slot is drive storage Reserve handed out for the next frame: the caller
+// writes every byte of Pix, then Commit shows it. Until then no reader
+// sees it, and Retire and later reservations leave it alone.
+type Slot struct {
+	Pix []uint8
+	d   *Display
+	idx int
+}
+
+// reserved marks a slot's refs entry while a Slot holds it: not free, not
+// yet shown by any interval.
+const reserved = -1
+
+// Reserve takes a free drive slot for a w×h frame (the panel size, fixed by
+// the first reservation) and returns it for the caller to fill. The fill
+// runs outside the display's lock, so readers of shown intervals never
+// wait on it. Its previous contents are arbitrary; a slot never committed
+// stays out of use.
+func (d *Display) Reserve(w, h int) (Slot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.w == 0 {
-		d.w, d.h = f.W, f.H
-	} else if f.W != d.w || f.H != d.h {
-		return fmt.Errorf("display: frame %dx%d does not match panel %dx%d", f.W, f.H, d.w, d.h)
+		d.w, d.h = w, h
+	} else if w != d.w || h != d.h {
+		return Slot{}, fmt.Errorf("display: frame %dx%d does not match panel %dx%d", w, h, d.w, d.h)
 	}
 	slot := d.newSlot()
-	dr := d.slots[slot]
-	for i, v := range f.Pix {
-		dr[i] = frame.Quant8(v)
+	d.refs[slot] = reserved
+	return Slot{Pix: d.slots[slot], d: d, idx: slot}, nil
+}
+
+// Commit appends a filled reserved slot as the next refresh interval. A
+// slot commits once; a second Commit, or one of another display's slot,
+// returns an error.
+func (d *Display) Commit(s Slot) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if s.d != d || d.refs[s.idx] != reserved {
+		return fmt.Errorf("display: slot %d is not reserved on this display", s.idx)
 	}
-	d.refs[slot] = 1
-	d.drive = append(d.drive, slot)
+	d.refs[s.idx] = 1
+	d.drive = append(d.drive, s.idx)
 	d.stored++
 	if d.cfg.ResponseTime > 0 {
 		d.extendState()
@@ -341,8 +386,8 @@ func (d *Display) luminance(k int) *frame.Frame {
 
 // extendState advances the response-state chain to cover every pushed frame
 // (state[k−off] exists for k ≤ NumFrames), so the read paths never mutate.
-// state[0] assumes the panel settled on frame 0 before t=0. Called from Push
-// with the write lock held.
+// state[0] assumes the panel settled on frame 0 before t=0. Called from
+// Commit and Repeat with the write lock held.
 func (d *Display) extendState() {
 	if len(d.state) == 0 {
 		d.state = append(d.state, d.luminance(0))
@@ -427,7 +472,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		}
 		return
 	}
-	// The response-state chain is maintained at Push time, so the read path
+	// The response-state chain is maintained at Commit time, so the read path
 	// needs no mutation: state[k−off] exists for every live k < NumFrames.
 	useResp := d.cfg.ResponseTime > 0
 	tauR := d.cfg.ResponseTime

@@ -106,14 +106,32 @@ func TestBrightnessScales(t *testing.T) {
 	}
 }
 
+// TestPushClampsAndQuantizes: Push stores the rounded, saturated drive
+// byte of every pixel, half-way, out-of-range and non-finite values
+// included — the quantization Push has always applied (round half away
+// from zero, saturate to [0,255], NaN dark).
 func TestPushClampsAndQuantizes(t *testing.T) {
+	vals := []float32{
+		-40, 300, 99.7, -1e9, -0.6, -0.5, -0, 1e-40, 0.49999997, 0.5, 1.5,
+		2.5, 127.5, 128.49998, 254.49998, 254.5, 255.4, 255.5,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+	}
 	d := mustNew(t, idealConfig())
-	f := frame.New(3, 1)
-	f.Pix[0], f.Pix[1], f.Pix[2] = -40, 300, 99.7
+	f := frame.New(len(vals), 1)
+	copy(f.Pix, vals)
 	d.Push(f)
 	l := d.Luminance(0)
-	if l.Pix[0] != 0 || l.Pix[1] != 255 || l.Pix[2] != 100 {
-		t.Fatalf("clamp/quantize: got %v", l.Pix[:3])
+	for i, v := range vals {
+		want := math.Round(float64(v))
+		switch {
+		case !(want > 0):
+			want = 0
+		case want > 255:
+			want = 255
+		}
+		if l.Pix[i] != float32(want) {
+			t.Fatalf("clamp/quantize of %v: got %v, want %v", v, l.Pix[i], want)
+		}
 	}
 }
 

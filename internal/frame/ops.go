@@ -113,9 +113,22 @@ func ResampleInto(f, dst *Frame) {
 // with the area-reduction taps built once instead of on every call. It is
 // immutable, so any number of goroutines may share one; output is
 // bit-identical to ResampleInto.
+//
+// NewResampler also classifies the taps: when every output coordinate on
+// both axes averages exactly n consecutive inputs, Into runs an unrolled
+// kernel for that n instead of the general tap loop. n = 2 covers the 1.5×
+// and 2× reductions (960×540 → 640×360 and 480×270), n = 3 the 2.5× and
+// 3× reductions (→ 384×216 and 320×180). A kernel does the general loop's float64
+// multiply-adds in the same order from the same zero start, and keeps the
+// per-pixel area and the sum/area division, so its output is bit-identical;
+// every other table (97×61 → 40×33, say) runs the general loop.
 type Resampler struct {
 	srcW, srcH, dstW, dstH int
 	area                   *areaTaps // nil unless the sizes select area reduction
+	// unrolled is the taps per output coordinate (2 or 3) when every
+	// coordinate on both axes averages that many consecutive inputs, so an
+	// unrolled kernel applies; 0 runs the general tap loop.
+	unrolled int
 }
 
 // NewResampler returns a resampler from srcW×srcH frames to dstW×dstH.
@@ -123,6 +136,9 @@ func NewResampler(srcW, srcH, dstW, dstH int) *Resampler {
 	r := &Resampler{srcW: srcW, srcH: srcH, dstW: dstW, dstH: dstH}
 	if (dstW != srcW || dstH != srcH) && dstW <= srcW && dstH <= srcH {
 		r.area = newAreaTaps(srcW, srcH, dstW, dstH)
+		if n := r.area.x.uniform(); (n == 2 || n == 3) && n == r.area.y.uniform() {
+			r.unrolled = n
+		}
 	}
 	return r
 }
@@ -139,11 +155,16 @@ func (r *Resampler) Into(f, dst *Frame) {
 		panic(fmt.Sprintf("frame: Resampler %dx%d→%dx%d given %dx%d→%dx%d",
 			r.srcW, r.srcH, r.dstW, r.dstH, f.W, f.H, dst.W, dst.H))
 	}
-	if r.area != nil {
+	switch {
+	case r.unrolled == 2:
+		areaResample2(f, dst, r.area)
+	case r.unrolled == 3:
+		areaResample3(f, dst, r.area)
+	case r.area != nil:
 		areaResample(f, dst, r.area)
-		return
+	default:
+		ResampleInto(f, dst)
 	}
-	ResampleInto(f, dst)
 }
 
 // axisTaps is the hoisted per-axis weight table of the area resampler: for
@@ -196,6 +217,26 @@ func newAreaTaps(srcW, srcH, dstW, dstH int) *areaTaps {
 	}
 }
 
+// uniform returns n when every output coordinate has exactly n taps over
+// consecutive inputs, or 0.
+func (t *axisTaps) uniform() int {
+	n := t.off[1]
+	for o := 0; o+1 < len(t.off); o++ {
+		s := t.off[o]
+		if t.off[o+1]-s != n {
+			return 0
+		}
+		for j := 1; j < n; j++ {
+			if t.idx[s+j] != t.idx[s]+j {
+				return 0
+			}
+		}
+	}
+	return n
+}
+
+// areaResample is the general tap loop: any table, and the reference the
+// unrolled kernels are tested against.
 func areaResample(f, out *Frame, t *areaTaps) {
 	w, h := out.W, out.H
 	xt, yt := &t.x, &t.y
@@ -215,6 +256,79 @@ func areaResample(f, out *Frame, t *areaTaps) {
 			}
 			if area > 0 {
 				out.Pix[oy*w+ox] = float32(sum / area)
+			}
+		}
+	}
+}
+
+// areaResample2 is areaResample for tables of two consecutive taps per
+// output coordinate on both axes: the same multiply-adds in the same order
+// (y tap outer, x tap inner), unrolled.
+func areaResample2(f, out *Frame, t *areaTaps) {
+	xt, yt := &t.x, &t.y
+	sw := f.W
+	for oy := 0; oy < out.H; oy++ {
+		ty := 2 * oy
+		y0 := yt.idx[ty]
+		fy0, fy1 := yt.wgt[ty], yt.wgt[ty+1]
+		r0 := f.Pix[y0*sw : (y0+1)*sw]
+		r1 := f.Pix[(y0+1)*sw : (y0+2)*sw]
+		orow := out.Pix[oy*out.W : (oy+1)*out.W]
+		for ox := range orow {
+			tx := 2 * ox
+			x0 := xt.idx[tx]
+			wx := xt.wgt[tx : tx+2 : tx+2]
+			p0, p1 := r0[x0:x0+2:x0+2], r1[x0:x0+2:x0+2]
+			var sum, area float64
+			w := wx[0] * fy0
+			sum += w * float64(p0[0])
+			area += w
+			w = wx[1] * fy0
+			sum += w * float64(p0[1])
+			area += w
+			w = wx[0] * fy1
+			sum += w * float64(p1[0])
+			area += w
+			w = wx[1] * fy1
+			sum += w * float64(p1[1])
+			area += w
+			if area > 0 {
+				orow[ox] = float32(sum / area)
+			}
+		}
+	}
+}
+
+// areaResample3 is areaResample2 for three consecutive taps per output
+// coordinate on both axes.
+func areaResample3(f, out *Frame, t *areaTaps) {
+	xt, yt := &t.x, &t.y
+	sw := f.W
+	for oy := 0; oy < out.H; oy++ {
+		ty := 3 * oy
+		y0 := yt.idx[ty]
+		fy := yt.wgt[ty : ty+3 : ty+3]
+		rows := f.Pix[y0*sw : (y0+3)*sw]
+		orow := out.Pix[oy*out.W : (oy+1)*out.W]
+		for ox := range orow {
+			tx := 3 * ox
+			x0 := xt.idx[tx]
+			wx := xt.wgt[tx : tx+3 : tx+3]
+			var sum, area float64
+			for j := 0; j < 3; j++ {
+				p := rows[j*sw+x0 : j*sw+x0+3 : j*sw+x0+3]
+				w := wx[0] * fy[j]
+				sum += w * float64(p[0])
+				area += w
+				w = wx[1] * fy[j]
+				sum += w * float64(p[1])
+				area += w
+				w = wx[2] * fy[j]
+				sum += w * float64(p[2])
+				area += w
+			}
+			if area > 0 {
+				orow[ox] = float32(sum / area)
 			}
 		}
 	}

@@ -121,8 +121,10 @@ run_kernels() {
 	# (DESIGN.md §5j), the bounded drive history — a retiring display and
 	# channel.Simulate bit-identical to a full history at several worker
 	# counts, links and display models, with the held frames bounded
-	# (DESIGN.md §5e) — and the cached resampling taps' identity to
-	# ResampleInto.
+	# (DESIGN.md §5e) — the display's reserve/commit slots and the
+	# allocation-free PushFrame that renders into them, and the cached
+	# resampling taps' and unrolled area kernels' identity to the general
+	# tap loop.
 	go test -race -count=1 \
 		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
@@ -130,10 +132,10 @@ run_kernels() {
 		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushToMatchesFramePush|TestPushFrame' \
 		./internal/core/
 	go test -race -count=1 \
-		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesResampleInto' \
+		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesResampleInto|TestAreaKernelsMatchTapLoop' \
 		./internal/frame/
 	go test -race -count=1 \
-		-run 'TestRetire|TestRepeat|TestWarmPushAfterRetireAllocates' \
+		-run 'TestRetire|TestRepeat|TestWarmPushAfterRetireAllocates|TestReserve|TestCommitChecksSlot|TestPushClampsAndQuantizes' \
 		./internal/display/
 	go test -race -count=1 \
 		-run 'TestSimulateMatchesFullHistory|TestSimulateHeldFramesBounded|TestSimulateTooShort' \
@@ -144,11 +146,13 @@ run_robustness() {
 	# The fault-injection gate in isolation: the deterministic impairment
 	# matrix (pinned availability/BER bounds, worker invariance, clean-path
 	# bit-identity) rerun under the race detector, then a short
-	# coverage-guided shake of the two decode entry points. The fuzz smokes
+	# coverage-guided shake of the two decode entry points and of the
+	# unrolled area kernels against the general tap loop. The fuzz smokes
 	# extend the committed corpora, they do not replace a long fuzz run.
 	go test -race -count=1 -run 'TestRobustnessMatrix|TestZeroImpairConfigIsCleanPath|TestImpairedDegradationAccounting' .
 	go test -run '^$' -fuzz '^FuzzDecodeCaptures$' -fuzztime 10s ./internal/core
 	go test -run '^$' -fuzz '^FuzzGOBParity$' -fuzztime 10s ./internal/core
+	go test -run '^$' -fuzz '^FuzzAreaResample$' -fuzztime 10s ./internal/frame
 }
 
 run_register_cover() {
