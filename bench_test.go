@@ -146,11 +146,12 @@ func BenchmarkMultiplexFrame(b *testing.B) {
 // BenchmarkCameraCapture measures one rolling-shutter capture of a 960×540
 // display showing a rendered Gray frame, at each of the three sensor sizes
 // of the default fleet population (640×360, 480×270, 320×180: the 1.5×,
-// 2× and 3× area reductions) — the benchcmp CameraCapture rows.
+// 2× and 3× area reductions), and at 640×360 with the default BlurRadius
+// 1 — the benchcmp CameraCapture rows.
 func BenchmarkCameraCapture(b *testing.B) {
-	for _, sz := range benchcmp.CaptureSizes(2) {
-		b.Run(fmt.Sprintf("%dx%d", sz[0], sz[1]), func(b *testing.B) {
-			cam, d, pool, err := benchcmp.CaptureBench(2, sz[0], sz[1])
+	for _, row := range benchcmp.CaptureRows(2) {
+		b.Run(row.Name, func(b *testing.B) {
+			cam, d, pool, err := benchcmp.CaptureBench(2, row.W, row.H, row.Blur)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -183,6 +184,25 @@ func BenchmarkPushTo(b *testing.B) {
 				if err := m.PushTo(d, n); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkFrame measures rendering 4·τ display frames with Frame +
+// Recycle, on static gray and on moving sun-rise video — the benchcmp
+// Frame rows: the render alone, without the display push.
+func BenchmarkFrame(b *testing.B) {
+	for _, c := range benchcmp.EndToEndContents {
+		b.Run(c.Name, func(b *testing.B) {
+			m, _, n, err := benchcmp.PushToBench(2, c.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchcmp.RenderFrames(m, n)
 			}
 		})
 	}

@@ -20,9 +20,10 @@
 // -json <path> skips the figure tables and instead writes a machine-readable
 // baseline (conventionally BENCH_<date>.json at the repo root): ns/op for
 // the EndToEnd (static gray and moving sun-rise), DecodeCaptures and Fleet
-// stages at workers=1 and GOMAXPROCS, the same shapes
-// BenchmarkEndToEnd/BenchmarkDecodeCaptures/BenchmarkFleet measure, so the
-// bench trajectory has comparable seed points across PRs.
+// stages at workers=1 and GOMAXPROCS, plus the single-worker stage rows
+// CameraCapture, PushTo and Frame — the same shapes the root package's
+// benchmarks of those names measure — so the bench trajectory has
+// comparable seed points across PRs.
 //
 // The output is the source of the measured columns in EXPERIMENTS.md.
 package main

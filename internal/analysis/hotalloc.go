@@ -33,7 +33,8 @@ import (
 //     instructions and stay allowed.
 //
 // The sanctioned pattern is the repo's scratch-buffer idiom: allocate once
-// per function or per worker chunk (camera.Capture's rowBuf) and reuse;
+// per function or per worker chunk (the capture stream's pooled row runs
+// in camera.CaptureWith) and reuse;
 // for curves, tabulate once (internal/fixed's Gamma) and interpolate.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",

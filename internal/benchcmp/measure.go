@@ -64,10 +64,11 @@ func CaptureSizes(scale int) [][2]int {
 
 // CaptureBench builds a CameraCapture row: the scaled panel showing the
 // first rendered frame of the gray PushTo row, and a default w×h camera at
-// Workers 1 and BlurRadius 0 drawing from its own pool, so one op is the
-// rolling-shutter synthesis, area reduction, encode, noise and
-// quantization of a capture. BenchmarkCameraCapture measures the same.
-func CaptureBench(scale, w, h int) (*camera.Camera, *display.Display, *frame.Pool, error) {
+// Workers 1 and the given BlurRadius drawing from its own pool, so one op
+// is the rolling-shutter synthesis, defocus blur (blur > 0), area
+// reduction, encode, noise and quantization of a capture.
+// BenchmarkCameraCapture measures the same.
+func CaptureBench(scale, w, h, blur int) (*camera.Camera, *display.Display, *frame.Pool, error) {
 	m, dcfg, _, err := PushToBench(scale, EndToEndContents[0].Source)
 	if err != nil {
 		return nil, nil, nil, err
@@ -82,7 +83,7 @@ func CaptureBench(scale, w, h int) (*camera.Camera, *display.Display, *frame.Poo
 	pool := frame.NewPool()
 	cfg := channel.DefaultConfig(w, h).Camera
 	cfg.Workers = 1
-	cfg.BlurRadius = 0
+	cfg.BlurRadius = blur
 	cfg.Pool = pool
 	cam, err := camera.New(cfg)
 	if err != nil {
@@ -106,6 +107,36 @@ func PushToBench(scale int, src func(w, h int) video.Source) (*core.Multiplexer,
 		return nil, display.Config{}, 0, err
 	}
 	return m, channel.DefaultConfig(1280/scale, 720/scale).Display, 4 * p.Tau, nil
+}
+
+// CaptureRows returns the CameraCapture rows at scale: one unblurred
+// capture per CaptureSizes sensor, plus the scaled capture size at the
+// BlurRadius 1 of channel.DefaultConfig ("/blur1"), which the unblurred
+// rows leave out of the ledger.
+func CaptureRows(scale int) []CaptureRow {
+	sizes := CaptureSizes(scale)
+	rows := make([]CaptureRow, 0, len(sizes)+1)
+	for _, sz := range sizes {
+		rows = append(rows, CaptureRow{Name: fmt.Sprintf("%dx%d", sz[0], sz[1]), W: sz[0], H: sz[1]})
+	}
+	sz := sizes[0]
+	return append(rows, CaptureRow{Name: fmt.Sprintf("%dx%d/blur1", sz[0], sz[1]), W: sz[0], H: sz[1], Blur: 1})
+}
+
+// CaptureRow is one CameraCapture row: its name below "CameraCapture/",
+// the sensor size and the camera's BlurRadius.
+type CaptureRow struct {
+	Name       string
+	W, H, Blur int
+}
+
+// RenderFrames renders display frames [0, n) with Frame and hands each
+// back with Recycle: one op of the render-only Frame rows, on a
+// PushToBench multiplexer.
+func RenderFrames(m *core.Multiplexer, n int) {
+	for k := 0; k < n; k++ {
+		m.Recycle(m.Frame(k))
+	}
 }
 
 // pipeline builds the scaled paper pipeline on content src with every
@@ -218,8 +249,9 @@ func Calibrate() int64 {
 // EndToEndContents source), DecodeCaptures (receive side only) and Fleet at
 // workers=1 and, when the machine has more than one core,
 // workers=GOMAXPROCS, plus the single-worker per-stage rows CameraCapture
-// (one capture per CaptureSizes sensor) and PushTo (4·τ frames per
-// content), and returns the results as a fresh baseline.
+// (one capture per CaptureRows entry), PushTo (4·τ frames per content)
+// and Frame (the render alone: 4·τ Frame + Recycle per content), and
+// returns the results as a fresh baseline.
 // Every entry is the best of measureRepeats samples, so committed baselines
 // and benchdiff's fresh runs estimate the same (noise-free) quantity, and
 // the calibration kernel is timed alongside so Compare can normalize away
@@ -291,10 +323,10 @@ func Measure(scale int) (*Baseline, error) {
 	// stage so tens of MB of capture frames don't distort their GC pacing.
 	res = nil
 	_ = res
-	// Per-stage rows: one capture per sensor size, and one 4·τ PushTo per
-	// content, each on one worker.
-	for _, sz := range CaptureSizes(scale) {
-		cam, d, pool, err := CaptureBench(scale, sz[0], sz[1])
+	// Per-stage rows: one capture per sensor size, and one 4·τ PushTo and
+	// one 4·τ render per content, each on one worker.
+	for _, row := range CaptureRows(scale) {
+		cam, d, pool, err := CaptureBench(scale, row.W, row.H, row.Blur)
 		if err != nil {
 			return nil, err
 		}
@@ -304,7 +336,7 @@ func Measure(scale int) (*Baseline, error) {
 				pool.Put(cam.Capture(d, 0.001, i))
 			}
 		})
-		base.Benchmarks = append(base.Benchmarks, entry(fmt.Sprintf("CameraCapture/%dx%d", sz[0], sz[1]), r))
+		base.Benchmarks = append(base.Benchmarks, entry("CameraCapture/"+row.Name, r))
 	}
 	for _, c := range EndToEndContents {
 		m, dcfg, n, err := PushToBench(scale, c.Source)
@@ -329,6 +361,19 @@ func Measure(scale int) (*Baseline, error) {
 			return nil, benchErr
 		}
 		base.Benchmarks = append(base.Benchmarks, entry("PushTo/"+c.Name, r))
+	}
+	for _, c := range EndToEndContents {
+		m, _, n, err := PushToBench(scale, c.Source)
+		if err != nil {
+			return nil, err
+		}
+		r := measureBest(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RenderFrames(m, n)
+			}
+		})
+		base.Benchmarks = append(base.Benchmarks, entry("Frame/"+c.Name, r))
 	}
 	// Fleet: render once, decode a FleetReceivers-member population — the
 	// receivers/sec scaling headline.

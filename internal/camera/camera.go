@@ -13,6 +13,12 @@
 //
 // A capture samples the display's light field (linear luminance), then
 // gamma-encodes back to 8-bit pixel values, as real camera ISPs do.
+//
+// A capture is one streaming pass over the sensor rows: display rows are
+// integrated in small chunks, blurred, cropped and resampled as the
+// sensor rows that read them come due, and each sensor row is encoded,
+// noised and quantized as soon as it is resampled. Only a few rows of
+// each stage are held at once (see CaptureWith).
 package camera
 
 import (
@@ -59,21 +65,22 @@ type Config struct {
 	// follows the window: display row y exposes as sensor row
 	// (y−CropY0)·H/CropH, clamped to [0, H).
 	CropX0, CropY0, CropW, CropH int
-	// Workers bounds the row-synthesis fan-out of Capture: the
-	// rolling-shutter rows of one capture spread across this many
-	// goroutines. 0 means GOMAXPROCS; 1 forces the sequential path. The
-	// channel's capture schedule ignores it and threads its own per-capture
-	// share of one worker budget through CaptureWith instead. Captures are
-	// bit-identical at any worker count: rows write disjoint spans and the
-	// noise RNG is seeded from the capture index, never from worker
-	// identity.
+	// Workers bounds the row-synthesis fan-out of Capture: each chunk of
+	// rolling-shutter display rows is integrated across this many
+	// goroutines, and the rest of the capture streams on one. 0 means
+	// GOMAXPROCS; 1 forces the sequential path. The channel's capture
+	// schedule ignores it and threads its own per-capture share of one
+	// worker budget through CaptureWith instead. Captures are bit-identical
+	// at any worker count: rows write disjoint spans and the noise RNG is
+	// seeded from the capture index, never from worker identity.
 	Workers int
-	// Pool supplies the capture working buffers (display-resolution
-	// integration plane, blur scratch, crop window) and the returned
-	// capture itself. Intermediates are Put back inside Capture; the
-	// returned capture is owned by the caller, who may Put it back after
-	// decoding to close the loop. Nil means a private pool (intermediates
-	// still recycle; returned captures are simply never reused).
+	// Pool supplies the capture's row buffers (a few rows each of
+	// integrated, horizontally blurred and window rows, and the blur's
+	// column sums) and the returned capture itself. The row buffers are
+	// Put back inside Capture; the returned capture is owned by the caller,
+	// who may Put it back after decoding to close the loop. Nil means a
+	// private pool (row buffers still recycle; returned captures are simply
+	// never reused).
 	Pool *frame.Pool
 }
 
@@ -141,10 +148,10 @@ type Camera struct {
 	// built once per camera: the per-pixel math.Pow it replaces was the
 	// single largest EndToEnd profile entry (see DESIGN.md §5j).
 	gamma *fixed.Gamma
-	// resampler holds the area taps of the last (integration plane,
-	// sensor) size pair, built once rather than on every capture; an
-	// atomic pointer because the channel's schedule runs captures of one
-	// camera concurrently, and a resampler is immutable once built.
+	// resampler holds the taps of the last (window, sensor) size pair,
+	// built once rather than on every capture; an atomic pointer because
+	// the channel's schedule runs captures of one camera concurrently, and
+	// a resampler is immutable once built.
 	resampler atomic.Pointer[frame.Resampler]
 }
 
@@ -176,86 +183,299 @@ func (c *Camera) Capture(d *display.Display, t0 float64, index int) *frame.Frame
 }
 
 // CaptureWith is Capture with an explicit worker budget for the row
-// sweep, so a caller that runs several captures concurrently (the
+// synthesis, so a caller that runs several captures concurrently (the
 // channel's capture schedule) can hand each one its parallel.Split share
 // instead of the full worker count.
+//
+// A capture is one pass over the sensor rows (DESIGN.md §5j). For each
+// output row the resampler names the window rows it reads; the stream
+// produces them in ascending order — display rows integrated in chunks of
+// chunkRows (the chunk's rows fanned out over rowWorkers), blurred by
+// running sums, cropped — and holds only the few still needed. The row is
+// then resampled, gamma-encoded, noised in pixel order and quantized
+// straight into the output frame. Every value is computed by the same
+// float operations in the same order as integrating, blurring, cropping,
+// resampling, encoding, noising and quantizing whole planes one after the
+// other, so captures are bit-identical to that and at any worker count.
 func (c *Camera) CaptureWith(d *display.Display, t0 float64, index, rowWorkers int) *frame.Frame {
 	dw, dh := d.Size()
 	if dw == 0 || dh == 0 {
 		panic("camera: display has no frames")
 	}
-	// Integrate the light field at display resolution, one display row at a
-	// time, each row using the exposure window of the sensor row it maps to.
-	// Rows write disjoint spans of lin, so the rolling-shutter synthesis
-	// fans out across workers with a bit-identical ordered merge; RowAverage
-	// writes each destination row in place, so no per-chunk scratch row is
-	// needed. Every working buffer comes from the camera's pool and goes
-	// back once the next stage has consumed it.
-	lin := c.pool.Get(dw, dh)
-	var rowDt float64
-	if c.cfg.H > 1 {
-		rowDt = c.cfg.ReadoutTime / float64(c.cfg.H)
-	}
-	// Display row y exposes with the sensor row it lands on: the whole
-	// panel spans the sensor uncropped, the crop window does cropped.
-	y0, span := 0, dh
-	if c.cfg.cropped() {
-		y0, span = c.cfg.CropY0, c.cfg.CropH
-	}
-	parallel.ForChunked(rowWorkers, dh, func(lo, hi int) {
-		for y := lo; y < hi; y++ {
-			sensorRow := min(max((y-y0)*c.cfg.H/span, 0), c.cfg.H-1)
-			a := t0 + float64(sensorRow)*rowDt
-			d.RowAverage(y, a, a+c.cfg.Exposure, lin.Row(y))
-		}
-	})
-	if c.cfg.BlurRadius > 0 {
-		blurred := c.pool.Get(dw, dh)
-		frame.BoxBlurInto(lin, blurred, c.cfg.BlurRadius, c.pool)
-		c.pool.Put(lin)
-		lin = blurred
-	}
-	if c.cfg.cropped() {
-		// The window arrives zeroed from the pool, so parts extending
-		// beyond the display stay black (overscan).
-		window := c.pool.Get(c.cfg.CropW, c.cfg.CropH)
-		window.Blit(lin, -c.cfg.CropX0, -c.cfg.CropY0)
-		c.pool.Put(lin)
-		lin = window
-	}
+	var s stream
+	s.Workers = rowWorkers
+	s.init(c, d, t0)
 	out := c.pool.Get(c.cfg.W, c.cfg.H)
-	rs := c.resampler.Load()
-	if rs == nil || !rs.Fits(lin, out) {
-		rs = frame.NewResampler(lin.W, lin.H, out.W, out.H)
-		c.resampler.Store(rs)
+	var rng *rand.Rand
+	//lint:ignore floateq NoiseSigma==0 is the configured "noise disabled" sentinel, never a computed value
+	if c.cfg.NoiseSigma != 0 {
+		rng = rand.New(rand.NewSource(c.cfg.Seed + int64(index)*1000003))
 	}
-	rs.Into(lin, out)
-	c.pool.Put(lin)
-	c.encode(out)
-	c.addNoise(out, index)
-	out.Quantize()
+	for oy := 0; oy < out.H; oy++ {
+		lo, n := s.rs.SrcRows(oy)
+		row := out.Row(oy)
+		s.rs.RowInto(oy, s.window(lo, lo+n), row)
+		c.develop(row, rng)
+	}
+	s.release(c.pool)
 	return out
 }
 
-// encode converts linear luminance (0..255 scale) to gamma-encoded 8-bit
-// values in place, through the camera's Q16 fixed-point curve table (the
-// error bound against the exact math.Pow curve is in fixed.Gamma's doc).
-func (c *Camera) encode(f *frame.Frame) {
+// develop turns one resampled row of linear luminance (0..255 scale) into
+// the sensor's 8-bit output in place: gamma encoding through the camera's
+// Q16 fixed-point curve (its error bound against the exact math.Pow curve
+// is in fixed.Gamma's doc), then Gaussian read noise from rng (nil: none),
+// then quantization.
+func (c *Camera) develop(row []float32, rng *rand.Rand) {
 	g := c.gamma
-	for i, v := range f.Pix {
-		f.Pix[i] = g.Encode8(v)
+	if rng == nil {
+		for x, v := range row {
+			row[x] = float32(fixed.Round8(g.Encode8(v)))
+		}
+		return
+	}
+	sigma := c.cfg.NoiseSigma
+	for x, v := range row {
+		row[x] = float32(fixed.Round8(g.Encode8(v) + float32(rng.NormFloat64()*sigma)))
 	}
 }
 
-// addNoise adds deterministic Gaussian read noise for capture index.
-func (c *Camera) addNoise(f *frame.Frame, index int) {
-	//lint:ignore floateq NoiseSigma==0 is the configured "noise disabled" sentinel, never a computed value
-	if c.cfg.NoiseSigma == 0 {
+// chunkRows is how many display rows a capture integrates at a time; at
+// rowWorkers > 1 each chunk fans out across the workers.
+const chunkRows = 32
+
+// stream produces the rows of one capture's window — the display-pixel
+// rectangle the sensor frames, after defocus blur — in ascending order,
+// holding only the rows still to be read. Its buffers come from the
+// camera's pool and go back in release.
+type stream struct {
+	in integrator
+	// Workers is the fan-out of each chunk's integration; the name is the
+	// one inframe-lint's splitbudget follows from a caller's budget into a
+	// parallel region.
+	Workers int
+	rs      *frame.Resampler
+	r       int // BlurRadius
+	dw, dh  int // display size
+	wx0     int // window origin in display pixels
+	wy0     int
+	xa, xb  int // display columns inside the window: [xa, xb)
+	// pass marks a window that is the unblurred panel itself: window rows
+	// are the integrated rows, read in place from lin.
+	pass bool
+	// endLin bounds the display rows any window row reads.
+	endLin int
+	// lin holds integrated display rows, hrow (BlurRadius > 0)
+	// horizontally blurred ones, win the window rows unless pass.
+	lin, hrow, win run
+	cols           frame.BoxCols
+	nextBlur       int // the next display row the vertical blur emits
+	bufs           [4]*frame.Frame
+}
+
+// init sets up the stream of one capture of d starting at t0.
+func (s *stream) init(c *Camera, d *display.Display, t0 float64) {
+	cfg := &c.cfg
+	s.dw, s.dh = d.Size()
+	ww, wh := s.dw, s.dh
+	if cfg.cropped() {
+		s.wx0, s.wy0, ww, wh = cfg.CropX0, cfg.CropY0, cfg.CropW, cfg.CropH
+	}
+	s.in = integrator{d: d, t0: t0, exposure: cfg.Exposure, y0: s.wy0, span: wh, sensorH: cfg.H, w: s.dw}
+	if cfg.H > 1 {
+		s.in.rowDt = cfg.ReadoutTime / float64(cfg.H)
+	}
+	s.r = cfg.BlurRadius
+	s.xa, s.xb = max(s.wx0, 0), min(s.wx0+ww, s.dw)
+	s.pass = s.r == 0 && s.wx0 == 0 && s.wy0 == 0 && ww == s.dw && wh == s.dh
+	rs := c.resampler.Load()
+	if rs == nil || !rs.Maps(ww, wh, cfg.W, cfg.H) {
+		rs = frame.NewResampler(ww, wh, cfg.W, cfg.H)
+		c.resampler.Store(rs)
+	}
+	s.rs = rs
+	// The last display row the window reads: the last output row's last
+	// source row, plus the blur's reach below it.
+	lo, n := rs.SrcRows(cfg.H - 1)
+	last := min(lo+n-1+s.wy0, s.dh-1)
+	if s.r > 0 {
+		last = min(last+s.r+1, s.dh-1)
+	}
+	s.endLin = last + 1
+	hold := rs.MaxRows() + chunkRows
+	if s.pass {
+		s.lin = s.take(c.pool, 0, s.dw, hold)
 		return
 	}
-	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(index)*1000003))
-	sigma := c.cfg.NoiseSigma
-	for i := range f.Pix {
-		f.Pix[i] += float32(rng.NormFloat64() * sigma)
+	s.lin = s.take(c.pool, 0, s.dw, chunkRows)
+	s.win = s.take(c.pool, 1, ww, hold)
+	if s.r > 0 {
+		s.hrow = s.take(c.pool, 2, s.dw, 2*s.r+2+chunkRows)
+		s.bufs[3] = c.pool.Get(s.dw, 1)
+		s.cols = frame.NewBoxCols(s.bufs[3].Pix, s.r, s.dh)
 	}
+}
+
+// take draws a w×rows buffer from p into slot i of bufs and returns an
+// empty run over it.
+func (s *stream) take(p *frame.Pool, i, w, rows int) run {
+	s.bufs[i] = p.Get(w, rows)
+	return run{buf: s.bufs[i].Pix, w: w}
+}
+
+// release hands the stream's buffers back to p.
+func (s *stream) release(p *frame.Pool) {
+	for _, f := range s.bufs {
+		if f != nil {
+			p.Put(f)
+		}
+	}
+}
+
+// window returns window rows [lo, hi) back to back. lo and hi never
+// decrease from one call to the next.
+func (s *stream) window(lo, hi int) []float32 {
+	if s.pass {
+		s.lin.keepFrom(lo)
+		for s.lin.end() < hi {
+			s.integrate()
+		}
+		return s.lin.span(lo, hi)
+	}
+	s.win.keepFrom(lo)
+	for s.win.end() < hi {
+		wy := s.win.end()
+		dst := s.win.grow(1)
+		y := wy + s.wy0
+		if y < 0 || y >= s.dh || s.xa >= s.xb {
+			// Outside the display: the window sees black (overscan).
+			clear(dst)
+			continue
+		}
+		clear(dst[:s.xa-s.wx0])
+		clear(dst[s.xb-s.wx0:])
+		seg := dst[s.xa-s.wx0 : s.xb-s.wx0]
+		if s.r > 0 {
+			s.blurred(y, seg)
+		} else {
+			copy(seg, s.linRow(y)[s.xa:s.xb])
+		}
+	}
+	return s.win.span(lo, hi)
+}
+
+// blurred writes display columns [xa, xb) of blurred display row y into
+// seg: the vertical running sums advance row by row from the last row
+// emitted, consuming horizontally blurred rows as they are produced.
+func (s *stream) blurred(y int, seg []float32) {
+	for ; s.nextBlur <= y; s.nextBlur++ {
+		b := s.nextBlur
+		for need := min(b+s.r+1, s.dh-1); s.hrow.end() <= need; {
+			hy := s.hrow.end()
+			frame.BoxRow(s.linRow(hy), s.hrow.grow(1), s.r)
+		}
+		if b == 0 {
+			s.cols.Start(s.hrow.span(0, frame.BoxColsStartRows(s.r, s.dh)))
+		}
+		if b == y {
+			s.cols.Emit(seg, s.xa)
+		}
+		if b+1 < s.dh {
+			add, sub := s.cols.Step(b)
+			s.cols.Slide(s.hrow.row(add), s.hrow.row(sub))
+			s.hrow.keepFrom(max(b+1-s.r, 0))
+		}
+	}
+}
+
+// linRow returns integrated display row y, integrating the chunk that
+// holds it; rows below y are dropped.
+func (s *stream) linRow(y int) []float32 {
+	s.lin.keepFrom(y)
+	for s.lin.end() <= y {
+		s.integrate()
+	}
+	return s.lin.row(y)
+}
+
+// integrate appends the next chunk of integrated display rows to lin.
+func (s *stream) integrate() {
+	lo := s.lin.end()
+	hi := min(lo+chunkRows, s.endLin)
+	dst := s.lin.grow(hi - lo)
+	if parallel.Resolve(s.Workers) > 1 {
+		s.in.rowsParallel(s.Workers, lo, hi, dst)
+		return
+	}
+	s.in.rows(lo, hi, dst)
+}
+
+// integrator synthesizes display rows of the light field: display row y
+// averages the display over the exposure window of the sensor row it lands
+// on — the whole panel spans the sensor uncropped, the crop window does
+// cropped.
+type integrator struct {
+	d                   *display.Display
+	t0, rowDt, exposure float64
+	y0, span, sensorH   int
+	w                   int // display width
+}
+
+// rows integrates display rows [lo, hi) into dst, back to back.
+func (g integrator) rows(lo, hi int, dst []float32) {
+	for y := lo; y < hi; y++ {
+		sensorRow := min(max((y-g.y0)*g.sensorH/g.span, 0), g.sensorH-1)
+		a := g.t0 + float64(sensorRow)*g.rowDt
+		g.d.RowAverage(y, a, a+g.exposure, dst[(y-lo)*g.w:(y-lo+1)*g.w])
+	}
+}
+
+// rowsParallel is rows fanned out across workers: rows write disjoint
+// spans of dst, so any split gives the same bits.
+func (g integrator) rowsParallel(workers, lo, hi int, dst []float32) {
+	parallel.ForChunked(workers, hi-lo, func(a, b int) {
+		g.rows(lo+a, lo+b, dst[a*g.w:b*g.w])
+	})
+}
+
+// run holds consecutive rows [first, first+n) of width w back to back at
+// buf[off·w:], so any span of them is one slice. Appending moves the held
+// rows to the front of buf when the new rows would run off its end.
+type run struct {
+	buf           []float32
+	w             int
+	first, n, off int
+}
+
+// end returns the row the next grow appends.
+func (r *run) end() int { return r.first + r.n }
+
+// span returns held rows [lo, hi).
+func (r *run) span(lo, hi int) []float32 {
+	o := r.off + lo - r.first
+	return r.buf[o*r.w : (o+hi-lo)*r.w]
+}
+
+// row returns held row y.
+func (r *run) row(y int) []float32 { return r.span(y, y+1) }
+
+// keepFrom drops the held rows below lo. An emptied run skips ahead: its
+// next row is lo.
+func (r *run) keepFrom(lo int) {
+	k := min(max(lo-r.first, 0), r.n)
+	r.first, r.off, r.n = r.first+k, r.off+k, r.n-k
+	if r.n == 0 {
+		r.first, r.off = max(r.first, lo), 0
+	}
+}
+
+// grow appends k rows and returns their storage.
+func (r *run) grow(k int) []float32 {
+	if (r.off+r.n+k)*r.w > len(r.buf) {
+		copy(r.buf, r.buf[r.off*r.w:(r.off+r.n)*r.w])
+		r.off = 0
+	}
+	o := r.off + r.n
+	r.n += k
+	return r.buf[o*r.w : (o+k)*r.w]
 }

@@ -437,9 +437,7 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		panic(fmt.Sprintf("display: row %d out of range", y))
 	}
 	w := d.w
-	for x := 0; x < w; x++ {
-		dst[x] = 0
-	}
+	dst = dst[:w]
 	T := d.FrameDuration()
 	k0 := int(math.Floor(t0 / T))
 	k1 := int(math.Ceil(t1 / T))
@@ -452,6 +450,10 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		d.retired(k)
 	}
 	total := t1 - t0
+	// The first contributing interval stores its term instead of adding it
+	// to a zeroed row: 0 + x == x bit for bit unless x is −0, and no term
+	// is −0 (DESIGN.md §5j). A row no interval reaches stays black.
+	first := true
 	if duty := d.cfg.StrobeDuty; duty > 0 && duty < 1 {
 		// Strobed backlight: light only during the final duty fraction of
 		// each interval, at target luminance scaled by 1/duty.
@@ -464,11 +466,11 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 			if b <= a {
 				continue
 			}
-			target := d.driveAt(k)[y*w : y*w+w]
-			wgt := float32((b-a)/total) * boost
-			for x := 0; x < w; x++ {
-				dst[x] += d.lut[target[x]] * wgt
-			}
+			d.addLevels(dst, d.driveAt(k)[y*w:y*w+w], float32((b-a)/total)*boost, first)
+			first = false
+		}
+		if first {
+			clear(dst)
 		}
 		return
 	}
@@ -486,23 +488,55 @@ func (d *Display) RowAverage(y int, t0, t1 float64, dst []float32) {
 		target := d.driveAt(k)[y*w : y*w+w]
 		if !useResp || k < 0 || k >= n {
 			// Settled (held) frame or ideal pixels: constant luminance.
-			wgt := float32((b - a) / total)
-			for x := 0; x < w; x++ {
-				dst[x] += d.lut[target[x]] * wgt
-			}
+			d.addLevels(dst, target, float32((b-a)/total), first)
+			first = false
 			continue
 		}
 		// Exponential approach from the interval-start state:
-		// ∫ target + (s−target)·e^{−(t−tk)/τ} dt over [a,b].
+		// ∫ target + (s−target)·e^{−(t−tk)/τ} dt over [a,b]. The term is
+		// never −0: tg·cLin ≥ +0 and (+0) + (−0) = +0.
 		tk := float64(k) * T
 		ea := math.Exp(-(a - tk) / tauR)
 		eb := math.Exp(-(b - tk) / tauR)
 		cLin := float32((b - a) / total)
 		cExp := float32(tauR * (ea - eb) / total)
 		st := d.state[k-d.off].Pix[y*w : y*w+w]
-		for x := 0; x < w; x++ {
-			tg := d.lut[target[x]]
-			dst[x] += tg*cLin + (st[x]-tg)*cExp
+		if first {
+			for x := range dst {
+				tg := d.lut[target[x]]
+				dst[x] = tg*cLin + (st[x]-tg)*cExp
+			}
+		} else {
+			for x := range dst {
+				tg := d.lut[target[x]]
+				dst[x] += tg*cLin + (st[x]-tg)*cExp
+			}
+		}
+		first = false
+	}
+	if first {
+		clear(dst)
+	}
+}
+
+// addLevels adds the constant luminance of drive row target at weight wgt
+// (> 0) into dst, or stores it when first. A first weight of exactly 1
+// copies the LUT values: lut·1 == lut, and lut ≥ 0 is never −0.
+func (d *Display) addLevels(dst []float32, target []uint8, wgt float32, first bool) {
+	target = target[:len(dst)]
+	switch {
+	//lint:ignore floateq a weight of exactly 1 (a window inside one interval) is the case the copy serves; any other weight multiplies
+	case first && wgt == 1:
+		for x, v := range target {
+			dst[x] = d.lut[v]
+		}
+	case first:
+		for x, v := range target {
+			dst[x] = d.lut[v] * wgt
+		}
+	default:
+		for x, v := range target {
+			dst[x] += d.lut[v] * wgt
 		}
 	}
 }

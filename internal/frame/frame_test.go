@@ -382,9 +382,9 @@ func TestHighFreqEnergyDiscriminates(t *testing.T) {
 }
 
 // TestResamplerMatchesResampleInto: a resampler built once per size pair
-// reproduces ResampleInto bit for bit, on every call — area reduction at the
-// capture sizes the pipeline uses and at an odd, non-integer ratio, plus the
-// copy and bilinear paths it delegates.
+// reproduces ResampleInto, which builds a fresh one per call, bit for bit
+// on every call — area reduction at the capture sizes the pipeline uses
+// and at an odd, non-integer ratio, plus the copy and bilinear kernels.
 func TestResamplerMatchesResampleInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, c := range []struct{ sw, sh, dw, dh int }{

@@ -24,22 +24,20 @@ func areaPalette(f *Frame, rng *rand.Rand) {
 	}
 }
 
-// checkAreaKernel fails unless r.Into matches the general tap loop and
-// ResampleInto bit for bit on src.
+// checkAreaKernel fails unless r.Into and ResampleInto match the plane
+// reference (the general tap loop, bilinear walk or copy) bit for bit on
+// src. The destinations start as NaN, so a row kernel that leaves a pixel
+// unwritten fails too.
 func checkAreaKernel(t *testing.T, r *Resampler, src *Frame) {
 	t.Helper()
-	got, loop, ref := New(r.dstW, r.dstH), New(r.dstW, r.dstH), New(r.dstW, r.dstH)
+	got, loop, ref := NewFilled(r.dstW, r.dstH, float32(math.NaN())), New(r.dstW, r.dstH), NewFilled(r.dstW, r.dstH, float32(math.NaN()))
 	r.Into(src, got)
 	ResampleInto(src, ref)
-	if r.area != nil {
-		areaResample(src, loop, r.area)
-	} else {
-		ResampleInto(src, loop)
-	}
+	refResample(src, loop)
 	for i, v := range loop.Pix {
 		if math.Float32bits(got.Pix[i]) != math.Float32bits(v) || math.Float32bits(ref.Pix[i]) != math.Float32bits(v) {
-			t.Fatalf("%dx%d→%dx%d (unrolled %d) pixel %d: kernel %v, ResampleInto %v, tap loop %v",
-				r.srcW, r.srcH, r.dstW, r.dstH, r.unrolled, i, got.Pix[i], ref.Pix[i], v)
+			t.Fatalf("%dx%d→%dx%d (unrolled %d) pixel %d: kernel %v, ResampleInto %v, reference %v",
+				r.srcW, r.srcH, r.dstW, r.dstH, r.unrolled(), i, got.Pix[i], ref.Pix[i], v)
 		}
 	}
 }
@@ -62,8 +60,8 @@ func TestAreaKernelsMatchTapLoop(t *testing.T) {
 		{40, 33, 40, 33, 0}, {40, 33, 97, 61, 0},
 	} {
 		r := NewResampler(c.sw, c.sh, c.dw, c.dh)
-		if r.unrolled != c.unrolled {
-			t.Errorf("%dx%d→%dx%d: unrolled %d, want %d", c.sw, c.sh, c.dw, c.dh, r.unrolled, c.unrolled)
+		if r.unrolled() != c.unrolled {
+			t.Errorf("%dx%d→%dx%d: unrolled %d, want %d", c.sw, c.sh, c.dw, c.dh, r.unrolled(), c.unrolled)
 		}
 		src := New(c.sw, c.sh)
 		for round := 0; round < 2; round++ {
@@ -73,10 +71,22 @@ func TestAreaKernelsMatchTapLoop(t *testing.T) {
 	}
 }
 
-// FuzzAreaResample compares every resampler against the general tap loop
+// unrolled returns the taps per coordinate of r's unrolled area kernel, or
+// 0 when it runs another kernel.
+func (r *Resampler) unrolled() int {
+	switch r.kind {
+	case resampleArea2:
+		return 2
+	case resampleArea3:
+		return 3
+	}
+	return 0
+}
+
+// FuzzAreaResample compares every resampler against the plane reference
 // on random sizes up to 64 px — a quarter of them exact 1.5×, 2× or 3×
 // reductions, which select the unrolled kernels — and random pixels mixed
-// with 0, 255 and subnormals.
+// with 0, 255 and subnormals; sizes that grow an axis run bilinear.
 func FuzzAreaResample(f *testing.F) {
 	f.Add(int64(1), uint8(63), uint8(40), uint8(21), uint8(11), uint8(0))
 	f.Add(int64(2), uint8(20), uint8(12), uint8(0), uint8(0), uint8(1))

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"inframe/internal/frame"
 )
@@ -141,6 +142,11 @@ type SunRise struct {
 	// frequency field modulating it, both regenerated from the seed.
 	texture  []float32
 	strength []float32
+	// waves holds spare column tables for FrameInto, one per caller
+	// running at once, so a warm FrameInto allocates nothing and
+	// concurrent calls never share one.
+	mu    sync.Mutex
+	waves [][]float64
 }
 
 // NewSunRise builds the procedural clip. The same seed reproduces the same
@@ -183,6 +189,13 @@ func (s *SunRise) Frame(i int) *frame.Frame {
 }
 
 // FrameInto implements IntoSource; every pixel of dst is written.
+//
+// Terms that depend on x alone are computed once per frame: the ground's
+// luminance wave (a column table) and the texture drift (a start column
+// stepped with a wrap). The sun's Hypot and Exp run only inside the halo's
+// bounding box: Hypot(dx, dy) ≥ max(|dx|, |dy|), so outside it neither
+// the disc nor the halo can apply. Every pixel is the value the
+// per-pixel formula gives, bit for bit.
 func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 	t := math.Mod(float64(i)/s.Rate, 20) / 20 // progress 0..1
 	w, h := float64(s.W), float64(s.H)
@@ -190,48 +203,94 @@ func (s *SunRise) FrameInto(i int, f *frame.Frame) {
 	sunX := w * (0.25 + 0.5*t)
 	sunY := horizon - (0.05+0.45*t)*horizon
 	sunR := 0.09 * w
+	halo := 3 * sunR
 	skyBase := 90 + 80*t
 	glareH := 0.10 * h // saturated glare band above the horizon
+	// Ground: dark with patchy texture that drifts slowly (water/foliage
+	// motion), plus gentle luminance waves. The drift matters to the
+	// secondary channel: moving texture defeats temporal background
+	// subtraction the way real footage does.
+	wave := s.takeWave()
+	defer s.putWave(wave)
+	phase := 3 * t * 2 * math.Pi
+	for x := range wave {
+		wave[x] = 55 + 18*math.Sin(float64(x)/17+phase)
+	}
+	drift := int(float64(i) / s.Rate * 45) // 1.5 px per frame
+	tx0 := (drift%s.W + s.W) % s.W
 	for y := 0; y < s.H; y++ {
 		fy := float64(y)
-		for x := 0; x < s.W; x++ {
-			fx := float64(x)
-			var v float64
-			if fy < horizon {
-				// Sky: vertical gradient brightening towards the horizon.
-				v = skyBase + 120*(fy/horizon)
-				// Glare band hugging the horizon: effectively saturated.
-				if fy > horizon-glareH {
-					v = 250
+		row := f.Pix[y*s.W : (y+1)*s.W]
+		if fy >= horizon {
+			off := y * s.W
+			tex, str := s.texture[off:off+s.W], s.strength[off:off+s.W]
+			tx := tx0
+			for x := range row {
+				row[x] = clampLevel(wave[x] + float64(str[x])*float64(tex[tx]))
+				if tx++; tx == s.W {
+					tx = 0
 				}
-				// Sun disc and halo.
-				d := math.Hypot(fx-sunX, fy-sunY)
+			}
+			continue
+		}
+		// Sky: vertical gradient brightening towards the horizon.
+		sky := skyBase + 120*(fy/horizon)
+		// Glare band hugging the horizon: effectively saturated.
+		if fy > horizon-glareH {
+			sky = 250
+		}
+		dy := fy - sunY
+		if math.Abs(dy) >= halo {
+			v := clampLevel(sky)
+			for x := range row {
+				row[x] = v
+			}
+			continue
+		}
+		// Sun disc and halo.
+		for x := range row {
+			v := sky
+			if dx := float64(x) - sunX; math.Abs(dx) < halo {
+				d := math.Hypot(dx, dy)
 				switch {
 				case d < sunR:
 					v = 252
-				case d < 3*sunR:
+				case d < halo:
 					v += (252 - v) * math.Exp(-(d-sunR)/(1.1*sunR))
 				}
-			} else {
-				// Ground: dark with patchy texture that drifts slowly
-				// (water/foliage motion), plus gentle luminance waves.
-				// The drift matters to the secondary channel: moving
-				// texture defeats temporal background subtraction the way
-				// real footage does.
-				base := 55 + 18*math.Sin(fx/17+3*t*2*math.Pi)
-				drift := int(float64(i) / s.Rate * 45) // 1.5 px per frame
-				tx := ((x+drift)%s.W + s.W) % s.W
-				idx := y*s.W + tx
-				v = base + float64(s.strength[y*s.W+x])*float64(s.texture[idx])
 			}
-			if v > 255 {
-				v = 255
-			} else if v < 0 {
-				v = 0
-			}
-			f.Pix[y*s.W+x] = float32(v)
+			row[x] = clampLevel(v)
 		}
 	}
+}
+
+// clampLevel clamps v to [0, 255] as a pixel value.
+func clampLevel(v float64) float32 {
+	if v > 255 {
+		v = 255
+	} else if v < 0 {
+		v = 0
+	}
+	return float32(v)
+}
+
+// takeWave returns a column table of W entries, reusing a spare one.
+func (s *SunRise) takeWave() []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.waves); n > 0 {
+		wave := s.waves[n-1]
+		s.waves = s.waves[:n-1]
+		return wave
+	}
+	return make([]float64, s.W)
+}
+
+// putWave hands a column table back for the next FrameInto.
+func (s *SunRise) putWave(wave []float64) {
+	s.mu.Lock()
+	s.waves = append(s.waves, wave)
+	s.mu.Unlock()
 }
 
 // Size implements Source.

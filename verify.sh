@@ -110,6 +110,7 @@ run_alloc_tests() {
 	# under -race too, but only this run measures the true allocs/op that
 	# the BENCH_*.json baselines pin.
 	go test -run 'TestSteadyStateFrameBufferAllocs|TestMultiplexerRenderAllocs|TestReceiverMeasureAllocs|TestWorkerCountInvariancePooled' -count=1 .
+	go test -run 'TestWarmCaptureAllocates|TestSunRiseWarmFrameAllocates' -count=1 ./internal/camera ./internal/video
 }
 
 run_kernels() {
@@ -122,9 +123,12 @@ run_kernels() {
 	# channel.Simulate bit-identical to a full history at several worker
 	# counts, links and display models, with the held frames bounded
 	# (DESIGN.md §5e) — the display's reserve/commit slots and the
-	# allocation-free PushFrame that renders into them, and the cached
-	# resampling taps' and unrolled area kernels' identity to the general
-	# tap loop.
+	# allocation-free PushFrame that renders into them, the cached
+	# resampling taps' and row kernels' identity to the plane resamplers,
+	# the row-major box blur's identity to the column walk, RowAverage's
+	# store-first integration, the row-streaming capture's identity to the
+	# plane pipeline (DESIGN.md §5j) and the SunRise kernel's identity to
+	# its per-pixel formula.
 	go test -race -count=1 \
 		-run 'TestFixedPointBitIdentity|TestGammaErrorBound|TestWindowSumsMatchesNaive|TestRowAbsEnergyMatchesNaive|TestIsIntegral8' \
 		./internal/fixed/
@@ -132,11 +136,15 @@ run_kernels() {
 		-run 'TestFusedRenderMatchesReference|TestIncrementalRenderMatchesFresh|TestRGBFusedMatchesCloneAdd|TestDeltaCacheFrozenPool|TestPushToMatchesFramePush|TestPushFrame' \
 		./internal/core/
 	go test -race -count=1 \
-		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesResampleInto|TestAreaKernelsMatchTapLoop' \
+		-run 'TestAddLumaDeltaOfMatchesCloneAdd|TestAddLumaDeltaOfSizeCheck|TestResamplerMatchesResampleInto|TestAreaKernelsMatchTapLoop|TestBoxBlurMatchesColumnWalk' \
 		./internal/frame/
 	go test -race -count=1 \
-		-run 'TestRetire|TestRepeat|TestWarmPushAfterRetireAllocates|TestReserve|TestCommitChecksSlot|TestPushClampsAndQuantizes' \
+		-run 'TestRetire|TestRepeat|TestWarmPushAfterRetireAllocates|TestReserve|TestCommitChecksSlot|TestPushClampsAndQuantizes|TestRowAverageMatchesZeroedSum' \
 		./internal/display/
+	go test -race -count=1 \
+		-run 'TestCaptureStreamMatchesPlanes|TestCaptureStreamWorkerInvariance' \
+		./internal/camera/
+	go test -race -count=1 -run 'TestSunRiseMatchesPerPixelFormula|TestSunRiseConcurrentFrames' ./internal/video/
 	go test -race -count=1 \
 		-run 'TestSimulateMatchesFullHistory|TestSimulateHeldFramesBounded|TestSimulateTooShort' \
 		./internal/channel/
@@ -146,13 +154,15 @@ run_robustness() {
 	# The fault-injection gate in isolation: the deterministic impairment
 	# matrix (pinned availability/BER bounds, worker invariance, clean-path
 	# bit-identity) rerun under the race detector, then a short
-	# coverage-guided shake of the two decode entry points and of the
-	# unrolled area kernels against the general tap loop. The fuzz smokes
+	# coverage-guided shake of the two decode entry points, of the
+	# resampler row kernels against the plane resamplers and of the
+	# row-streaming capture against the plane pipeline. The fuzz smokes
 	# extend the committed corpora, they do not replace a long fuzz run.
 	go test -race -count=1 -run 'TestRobustnessMatrix|TestZeroImpairConfigIsCleanPath|TestImpairedDegradationAccounting' .
 	go test -run '^$' -fuzz '^FuzzDecodeCaptures$' -fuzztime 10s ./internal/core
 	go test -run '^$' -fuzz '^FuzzGOBParity$' -fuzztime 10s ./internal/core
 	go test -run '^$' -fuzz '^FuzzAreaResample$' -fuzztime 10s ./internal/frame
+	go test -run '^$' -fuzz '^FuzzCaptureStream$' -fuzztime 10s ./internal/camera
 }
 
 run_register_cover() {
